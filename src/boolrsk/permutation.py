@@ -101,9 +101,27 @@ class Permutation:
         return Permutation(self._positions)
 
     def length(self) -> int:
-        """Coxeter length: the number of inversions (i < j with w(i) > w(j))."""
-        w = self.entries
-        return sum(1 for i in range(self.n) for j in range(i + 1, self.n) if w[i] > w[j])
+        """Coxeter length: the number of inversions (i < j with w(i) > w(j)).
+
+        Counted in O(n log n) with a Fenwick tree over the values already
+        read: each entry adds the number of earlier entries larger than it.
+        ``is_boolean`` rests on this count: w is boolean exactly when
+        l(w) = |supp(w)|.
+        """
+        n = self.n
+        tree = [0] * (n + 1)
+        inversions = 0
+        for seen, v in enumerate(self.entries):
+            k = v
+            while k:
+                inversions -= tree[k]
+                k &= k - 1
+            inversions += seen
+            k = v
+            while k <= n:
+                tree[k] += 1
+                k += k & -k
+        return inversions
 
     def support(self) -> frozenset[int]:
         """The set of letters appearing in every reduced word for w.
@@ -178,20 +196,28 @@ class Permutation:
 
     def is_boolean(self) -> bool:
         """True when w avoids both 321 and 3412, i.e. some (hence every) reduced
-        word for w uses all distinct letters."""
-        if self._contains_321():
-            return False
-        return self._pattern_witness(_PATTERN_3412) is None
+        word for w uses all distinct letters.
+
+        Every reduced word uses each support letter at least once, so w is
+        boolean exactly when l(w) = |supp(w)|.  That costs O(n log n) and
+        searches for no pattern.
+        """
+        return self.length() == len(self.support())
 
     def boolean_witness(self) -> tuple[str, tuple[int, ...]] | None:
-        """A (pattern, positions) pair showing why w is not boolean, or None."""
-        positions = self._pattern_witness(_PATTERN_321)
-        if positions is not None:
-            return ("321", positions)
-        positions = self._pattern_witness(_PATTERN_3412)
-        if positions is not None:
-            return ("3412", positions)
-        return None
+        """A (pattern, positions) pair showing why w is not boolean, or None.
+
+        The positions are the lexicographically least occurrence of 321 if w
+        contains 321, and of 3412 otherwise.  Boolean input returns None after
+        the O(n log n) test l(w) = |supp(w)|; only a rejection pays for the
+        backtracking search, and the 321 search runs only when the O(n) scan
+        has found a 321.
+        """
+        if self.is_boolean():
+            return None
+        if self._contains_321():
+            return ("321", self._pattern_witness(_PATTERN_321))
+        return ("3412", self._pattern_witness(_PATTERN_3412))
 
     def require_boolean(self) -> None:
         witness = self.boolean_witness()

@@ -9,9 +9,9 @@ whose maximal blocks of 1s all have odd length.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .canonical import CanonicalWord, leftmost_letters
@@ -258,20 +258,26 @@ class UncrowdedCounts(NamedTuple):
     max_in_row2: int
 
 
-@lru_cache(maxsize=None)
-def _count_words(m: int) -> int:
-    if m == 0:
-        return 1
-    total = _count_words(m - 1)
-    for block in range(1, m + 1, 2):
-        total += 1 if block == m else _count_words(m - block - 1)
-    return total
+# _COUNTS[m] = (c(m), t(m)): c(m) counts the binary words of length m whose
+# blocks of 1s are odd, t(m) those among them starting with 1.  For m >= 2 a
+# word starting with 1 opens either with "10" and any word of length m - 2,
+# or with a block of three or more 1s whose first two drop off to leave a
+# word counted by t(m - 2); so t(m) = c(m - 2) + t(m - 2), and c(m) =
+# c(m - 1) + t(m) by the first letter.  The table is filled bottom-up to the
+# largest m asked for, so a range of sizes up to m costs O(m) additions.
+_COUNTS = [(1, 0), (2, 1)]
+_COUNTS_LOCK = threading.Lock()
 
 
-def _count_starting_with_one(m: int) -> int:
-    return sum(
-        1 if block == m else _count_words(m - block - 1) for block in range(1, m + 1, 2)
-    )
+def _word_counts(m: int) -> tuple[int, int]:
+    if m >= len(_COUNTS):
+        with _COUNTS_LOCK:
+            while len(_COUNTS) <= m:
+                k = len(_COUNTS)
+                c2, t2 = _COUNTS[k - 2]
+                starting_with_one = c2 + t2
+                _COUNTS.append((_COUNTS[k - 1][0] + starting_with_one, starting_with_one))
+    return _COUNTS[m]
 
 
 def count_uncrowded(n: int) -> UncrowdedCounts:
@@ -280,5 +286,5 @@ def count_uncrowded(n: int) -> UncrowdedCounts:
     starting with 1)."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    total = _count_words(n - 1)
-    return UncrowdedCounts(total, total - 1, _count_starting_with_one(n - 1))
+    total, starting_with_one = _word_counts(n - 1)
+    return UncrowdedCounts(total, total - 1, starting_with_one)

@@ -150,15 +150,22 @@ def run_decomposition(word: Word) -> tuple[RunWord, ...]:
 
 
 def reduced_word_of(w: Permutation) -> Word:
-    """One reduced word for w, found by repeatedly undoing the leftmost descent."""
+    """One reduced word for w, found by repeatedly undoing the leftmost descent.
+
+    Undoing the leftmost descent again and again is insertion sort: the
+    leftmost descent always sits just left of the entry being inserted.  So
+    one insertion-sort pass records the same swaps in O(n + l(w)).
+    """
     entries = list(w.entries)
     picked = []
-    while True:
-        i = next((k for k in range(len(entries) - 1) if entries[k] > entries[k + 1]), None)
-        if i is None:
-            break
-        picked.append(i + 1)
-        entries[i], entries[i + 1] = entries[i + 1], entries[i]
+    for j in range(1, len(entries)):
+        v = entries[j]
+        k = j
+        while k and entries[k - 1] > v:
+            entries[k] = entries[k - 1]
+            picked.append(k)
+            k -= 1
+        entries[k] = v
     return Word(tuple(reversed(picked)), w.n)
 
 

@@ -4,7 +4,10 @@ These deliberately use different algorithms from the library code they
 check: patience sorting instead of the start-anchored DP, permutation
 filtering and memoized counting instead of Kahn enumeration, raw window
 scans instead of element-anchored ones, word filtering instead of move
-closures.
+closures.  The slow paths that the library's fast ones replaced live here
+too: pairwise inversion counting, backtracking pattern search for the
+boolean test, leftmost-descent rescans for a reduced word, and the
+recursive count of odd-block binary words.
 """
 
 import itertools
@@ -104,3 +107,65 @@ def reduced_words_by_filtering(w):
         if evaluate(Word(letters, w.n)) == w:
             out.add(letters)
     return out
+
+
+def length_pairwise(entries):
+    """Inversions by checking every pair, O(n^2)."""
+    n = len(entries)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if entries[i] > entries[j])
+
+
+def pattern_witness_backtracking(entries, pattern):
+    """Lexicographically least positions (1-based) forming the pattern, or None."""
+    n, k = len(entries), len(pattern)
+
+    def extend(chosen):
+        d = len(chosen)
+        if d == k:
+            return tuple(p + 1 for p in chosen)
+        start = chosen[-1] + 1 if chosen else 0
+        for p in range(start, n - (k - d) + 1):
+            v = entries[p]
+            if all((v > entries[q]) == (pattern[d] > pattern[e]) for e, q in enumerate(chosen)):
+                found = extend(chosen + [p])
+                if found is not None:
+                    return found
+        return None
+
+    return extend([])
+
+
+def boolean_witness_by_patterns(entries):
+    """(pattern, positions) for the least 321, else the least 3412, else None."""
+    for pattern, name in (((3, 2, 1), "321"), ((3, 4, 1, 2), "3412")):
+        positions = pattern_witness_backtracking(entries, pattern)
+        if positions is not None:
+            return (name, positions)
+    return None
+
+
+def reduced_word_by_leftmost_descent(entries):
+    """Letters of one reduced word: undo the leftmost descent, rescanning from
+    the start each time, and read the swaps backwards."""
+    entries = list(entries)
+    picked = []
+    while True:
+        i = next((k for k in range(len(entries) - 1) if entries[k] > entries[k + 1]), None)
+        if i is None:
+            break
+        picked.append(i + 1)
+        entries[i], entries[i + 1] = entries[i + 1], entries[i]
+    return tuple(reversed(picked))
+
+
+@lru_cache(maxsize=None)
+def odd_block_words(m):
+    """Binary words of length m whose blocks of 1s are odd, by the first block."""
+    if m == 0:
+        return 1
+    return odd_block_words(m - 1) + odd_block_words_starting_with_one(m)
+
+
+@lru_cache(maxsize=None)
+def odd_block_words_starting_with_one(m):
+    return sum(1 if block == m else odd_block_words(m - block - 1) for block in range(1, m + 1, 2))

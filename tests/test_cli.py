@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -70,6 +73,18 @@ class TestPlainOutput:
         assert lines[0] == "n total two-row n-in-row2"
         assert lines[1] == "1 1 0 0"
         assert lines[10] == "10 197 196 89"
+
+    @pytest.mark.parametrize("size", ["600", "1000"])
+    def test_large_count_in_fresh_process(self, size):
+        # a fresh interpreter, so no count table is warm from earlier tests
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", "boolrsk.cli", "count", size],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0
+        assert "Traceback" not in done.stderr
+        assert done.stdout.strip().splitlines()[-1].startswith(f"{size} ")
 
     def test_ulam_moves(self):
         _, out, _ = run_cli("ulam", "5 1 6 4 2 7 3 8")

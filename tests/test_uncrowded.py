@@ -31,7 +31,7 @@ from boolrsk import (
     uncrowded_after_adding_one,
 )
 
-from oracles import uncrowded_naive
+from oracles import odd_block_words, odd_block_words_starting_with_one, uncrowded_naive
 
 
 def T(*rows):
@@ -241,6 +241,20 @@ class TestCounts:
             words = list(odd_run_words(n))
             assert counts.total == len(words)
             assert counts.max_in_row2 == sum(1 for w in words if w.bits[:1] == (1,))
+
+    def test_matches_recursive_count(self):
+        for n in range(1, 301):
+            counts = count_uncrowded(n)
+            assert counts.total == odd_block_words(n - 1)
+            assert counts.max_in_row2 == odd_block_words_starting_with_one(n - 1)
+
+    def test_linear_recurrence_to_size_1000(self):
+        totals = [None] + [count_uncrowded(n).total for n in range(1, 1001)]
+        with_max = [None] + [count_uncrowded(n).max_in_row2 for n in range(1, 1001)]
+        for n in range(4, 1001):
+            assert totals[n] == totals[n - 1] + 2 * totals[n - 2] - totals[n - 3]
+        for n in range(5, 1001):
+            assert with_max[n] == with_max[n - 1] + 2 * with_max[n - 2] - with_max[n - 3]
 
 
 class TestBooleanCharacterization:
