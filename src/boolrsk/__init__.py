@@ -39,6 +39,7 @@ from .uncrowded import (
     UncrowdedCounts,
     binary_word_from_tableau,
     count_uncrowded,
+    count_uncrowded_range,
     crowding_witness,
     is_feasible_second_row,
     is_uncrowded,

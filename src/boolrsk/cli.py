@@ -12,7 +12,6 @@ import json
 import sys
 from typing import Sequence
 
-from . import acceptance
 from .canonical import canonical_from_heap, canonical_from_word, leftmost_letters, rightmost_letters
 from .errors import DomainError, ParseError
 from .permutation import Permutation
@@ -33,10 +32,10 @@ from .textio import (
 )
 from .uncrowded import (
     binary_word_from_tableau,
-    count_uncrowded,
+    count_uncrowded_range,
     crowding_witness,
-    is_uncrowded_tableau,
     realize_leftmost_letters,
+    tableau_crowding_witness,
     tableau_from_binary_word,
 )
 from .words import Word, all_reduced_words, evaluate, heap_of
@@ -272,8 +271,7 @@ def _cmd_uncrowded(args) -> tuple[Envelope, str]:
         return envelope, "\n".join(lines)
     if args.what == "tableau":
         tableau = parse_tableau(args.value)
-        witness = crowding_witness(tableau.row2) if len(tableau.rows) <= 2 else None
-        uncrowded = is_uncrowded_tableau(tableau)
+        witness = tableau_crowding_witness(tableau)
         envelope = {
             "command": "uncrowded",
             "mode": "tableau",
@@ -282,7 +280,7 @@ def _cmd_uncrowded(args) -> tuple[Envelope, str]:
             "result": {
                 "rows": _tableau_payload(tableau),
                 "row2": sorted(tableau.row2),
-                "uncrowded": uncrowded,
+                "uncrowded": witness is None,
                 "witness": None if witness is None else list(witness),
             },
         }
@@ -339,7 +337,7 @@ def _cmd_count(args) -> tuple[Envelope, str]:
         raise ParseError(f"not a range: {span!r}") from None
     if lo < 1 or hi < lo:
         raise ParseError(f"bad range: {span!r}")
-    rows = [(n, *count_uncrowded(n)) for n in range(lo, hi + 1)]
+    rows = [(n, *counts) for n, counts in enumerate(count_uncrowded_range(lo, hi), start=lo)]
     envelope = {
         "command": "count",
         "input": span,
@@ -390,6 +388,8 @@ def _cmd_bij(args) -> tuple[Envelope, str]:
 
 
 def _cmd_selftest(args) -> int:
+    from . import acceptance
+
     numbers = args.criteria or None
     ok = acceptance.run(numbers, out=sys.stdout)
     return 0 if ok else 1

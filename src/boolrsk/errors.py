@@ -15,7 +15,14 @@ class NotBooleanError(DomainError):
 
 
 class CrowdedError(DomainError):
-    """Integer set packs more than x+1 values into some window of 2x+1 integers."""
+    """Integer set packs more than x+1 values into some window of 2x+1 integers.
+
+    ``witness`` is that window as (y, x, count), when known.
+    """
+
+    def __init__(self, message: str, witness: tuple[int, int, int] | None = None):
+        self.witness = witness
+        super().__init__(message)
 
 
 class DegreeLimitError(DomainError):

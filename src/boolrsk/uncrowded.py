@@ -9,9 +9,10 @@ whose maximal blocks of 1s all have odd length.
 
 from __future__ import annotations
 
-import threading
-from bisect import bisect_left, bisect_right
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .canonical import CanonicalWord, leftmost_letters
@@ -58,23 +59,30 @@ class BinaryWord:
 
 
 def crowding_witness(values: Iterable[int]) -> tuple[int, int, int] | None:
-    """A violating window as (y, x, count), or None when the set is uncrowded.
+    """The violating window [y, y+2x] with the least y, then the least x, as
+    (y, x, count); None when the set is uncrowded.
 
-    Only windows starting at an element and spanning at most the set's range
-    need checking: any violating window shrinks to one of those.
+    Only windows starting at an element need checking: a violating window
+    shrinks to one.  Sort the set as e_0 < e_1 < ...; the window at e_i with
+    half-width x is crowded exactly when e_{i+x+1} <= e_i + 2x.  So start i
+    is crowded when some later j has e_j - e_i <= 2(j-i-1), that is
+    f(j) <= f(i) - 2 for f(k) = e_k - 2k, and one pass from the right with
+    the running minimum of f finds the least such i.  Only a crowded set then
+    pays a scan for the least x.
     """
     elements = sorted(set(values))
-    if len(elements) <= 1:
+    first = None
+    lowest = math.inf  # the least f(j) over the elements right of i
+    for i in range(len(elements) - 1, -1, -1):
+        f = elements[i] - 2 * i
+        if lowest <= f - 2:
+            first = i
+        lowest = min(lowest, f)
+    if first is None:
         return None
-    span = elements[-1] - elements[0]
-    max_x = (span + 1) // 2
-    for y in elements:
-        lo = bisect_left(elements, y)
-        for x in range(1, max_x + 1):
-            count = bisect_right(elements, y + 2 * x) - lo
-            if count > x + 1:
-                return (y, x, count)
-    return None
+    y = elements[first]
+    x = next(x for x in range(1, len(elements) - first - 1) if elements[first + x + 1] - y <= 2 * x)
+    return (y, x, bisect_right(elements, y + 2 * x) - first)
 
 
 def is_uncrowded(values: Iterable[int]) -> bool:
@@ -88,11 +96,16 @@ def is_uncrowded(values: Iterable[int]) -> bool:
     return crowding_witness(values) is None
 
 
-def is_uncrowded_tableau(tableau: StandardTableau) -> bool:
-    """True when the (at most two-row) tableau has an uncrowded second row."""
+def tableau_crowding_witness(tableau: StandardTableau) -> tuple[int, int, int] | None:
+    """crowding_witness of the second row of an (at most two-row) tableau."""
     if len(tableau.rows) > 2:
         raise DomainError(f"tableau has {len(tableau.rows)} rows; at most two allowed")
-    return is_uncrowded(tableau.row2)
+    return crowding_witness(tableau.row2)
+
+
+def is_uncrowded_tableau(tableau: StandardTableau) -> bool:
+    """True when the (at most two-row) tableau has an uncrowded second row."""
+    return tableau_crowding_witness(tableau) is None
 
 
 def is_feasible_second_row(values: Iterable[int]) -> bool:
@@ -136,7 +149,8 @@ def realize_leftmost_letters(letters: Iterable[int], n: int) -> CanonicalWord:
         y, x, count = witness
         raise CrowdedError(
             f"{sorted(set(wanted) | {0})} is crowded: window [{y}, {y + 2 * x}] "
-            f"holds {count} > {x + 1} elements"
+            f"holds {count} > {x + 1} elements",
+            witness,
         )
     dec, inc = _realize(wanted)
     top = max((a for run in dec + inc for a in run.letters), default=0)
@@ -146,19 +160,29 @@ def realize_leftmost_letters(letters: Iterable[int], n: int) -> CanonicalWord:
 
 
 def _realize(wanted: list[int]) -> tuple[list[RunWord], list[RunWord]]:
-    if not wanted:
-        return [], []
-    if all(m == 2 * i + 1 for i, m in enumerate(wanted)):
-        k = len(wanted) - 1
-        return [], [RunWord((2 * i + 1, 2 * i + 2)) for i in range(k, -1, -1)]
-    j = next((i for i, m in enumerate(wanted) if m > 2 * i + 1), None)
-    assert j is not None, "uncrowdedness forces the i-th letter to be at least 2i+1"
-    pivot = wanted[j]
-    sub_dec, sub_inc = _realize([z - pivot for z in wanted if z > pivot])
-    shift = lambda runs: [RunWord(tuple(a + pivot for a in r.letters)) for r in runs]
-    dec = [RunWord((pivot, pivot - 1))] + shift(sub_dec)
-    inc = shift(sub_inc) + [RunWord((2 * i - 1, 2 * i)) for i in range(j, 0, -1)]
-    return dec, inc
+    # The recursion on the letters above each pivot, unrolled: ``start`` is the
+    # first letter of the current level and ``base`` the shift back to the
+    # original letters.  Each level's increasing runs go before those of the
+    # levels above it, so they are collected per level and joined reversed.
+    dec, inc_levels = [], []
+    start, base = 0, 0
+    while start < len(wanted):
+        j = next(
+            (i for i in range(len(wanted) - start) if wanted[start + i] - base != 2 * i + 1),
+            None,
+        )
+        if j is None:
+            k = len(wanted) - start - 1
+            inc_levels.append(
+                [RunWord((base + 2 * i + 1, base + 2 * i + 2)) for i in range(k, -1, -1)]
+            )
+            break
+        pivot = wanted[start + j]
+        assert pivot - base > 2 * j + 1, "uncrowdedness forces the i-th letter to be at least 2i+1"
+        dec.append(RunWord((pivot, pivot - 1)))
+        inc_levels.append([RunWord((base + 2 * i - 1, base + 2 * i)) for i in range(j, 0, -1)])
+        start, base = start + j + 1, pivot
+    return dec, [run for level in reversed(inc_levels) for run in level]
 
 
 def tableau_from_binary_word(word: BinaryWord) -> StandardTableau:
@@ -208,8 +232,9 @@ def binary_word_from_tableau(tableau: StandardTableau) -> BinaryWord:
     """
     if not tableau.has_contiguous_content():
         raise DomainError("tableau entries must be exactly 1..n")
-    if not is_uncrowded_tableau(tableau):
-        raise CrowdedError(f"second row {sorted(tableau.row2)} is crowded")
+    witness = tableau_crowding_witness(tableau)
+    if witness is not None:
+        raise CrowdedError(f"second row {sorted(tableau.row2)} is crowded", witness)
     n = tableau.n
     bits = [0] * (n - 1)
     row2 = set(tableau.row2)
@@ -234,22 +259,27 @@ def odd_run_words(n: int) -> Iterator[BinaryWord]:
     lexicographic order."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-
-    def gen(m: int) -> Iterator[tuple[int, ...]]:
-        if m == 0:
-            yield ()
-            return
-        for rest in gen(m - 1):
-            yield (0,) + rest
-        for block in range(1, m + 1, 2):
-            if block == m:
-                yield (1,) * block
+    bits = [0] * (n - 1)
+    while True:
+        yield BinaryWord(tuple(bits))
+        # The next word keeps the longest prefix that can take a 1 where the
+        # current word has a 0, then completes it as small as possible: with
+        # zeros if the block of 1s so made is odd, else with one more 1 first.
+        p = len(bits) - 1
+        while p >= 0:
+            if bits[p] == 0:
+                block = 1
+                while p - block >= 0 and bits[p - block] == 1:
+                    block += 1
+                if block % 2 == 1 or p + 1 < len(bits):
+                    break
+                p -= block
             else:
-                for rest in gen(m - block - 1):
-                    yield (1,) * block + (0,) + rest
-
-    for bits in gen(n - 1):
-        yield BinaryWord(bits)
+                p -= 1
+        if p < 0:
+            return
+        head = [1, 1] if block % 2 == 0 else [1]
+        bits[p:] = head + [0] * (len(bits) - p - len(head))
 
 
 class UncrowdedCounts(NamedTuple):
@@ -258,33 +288,35 @@ class UncrowdedCounts(NamedTuple):
     max_in_row2: int
 
 
-# _COUNTS[m] = (c(m), t(m)): c(m) counts the binary words of length m whose
-# blocks of 1s are odd, t(m) those among them starting with 1.  For m >= 2 a
-# word starting with 1 opens either with "10" and any word of length m - 2,
-# or with a block of three or more 1s whose first two drop off to leave a
-# word counted by t(m - 2); so t(m) = c(m - 2) + t(m - 2), and c(m) =
-# c(m - 1) + t(m) by the first letter.  The table is filled bottom-up to the
-# largest m asked for, so a range of sizes up to m costs O(m) additions.
-_COUNTS = [(1, 0), (2, 1)]
-_COUNTS_LOCK = threading.Lock()
+def _word_counts() -> Iterator[tuple[int, int]]:
+    """(c(m), t(m)) for m = 0, 1, 2, ...: c(m) counts the binary words of
+    length m whose blocks of 1s are odd, t(m) those among them starting with 1.
+
+    For m >= 2 a word starting with 1 opens either with "10" and any word of
+    length m - 2, or with a block of three or more 1s whose first two drop off
+    to leave a word counted by t(m - 2); so t(m) = c(m - 2) + t(m - 2), and
+    c(m) = c(m - 1) + t(m) by the first letter.  One rolling pass keeps only
+    the last two pairs.
+    """
+    older, old = (1, 0), (2, 1)
+    yield older
+    yield old
+    while True:
+        starting_with_one = older[0] + older[1]
+        older, old = old, (old[0] + starting_with_one, starting_with_one)
+        yield old
 
 
-def _word_counts(m: int) -> tuple[int, int]:
-    if m >= len(_COUNTS):
-        with _COUNTS_LOCK:
-            while len(_COUNTS) <= m:
-                k = len(_COUNTS)
-                c2, t2 = _COUNTS[k - 2]
-                starting_with_one = c2 + t2
-                _COUNTS.append((_COUNTS[k - 1][0] + starting_with_one, starting_with_one))
-    return _COUNTS[m]
+def count_uncrowded_range(lo: int, hi: int) -> Iterator[UncrowdedCounts]:
+    """count_uncrowded(n) for n = lo..hi, in one pass of O(hi) additions."""
+    if lo < 1:
+        raise ValueError("degree must be at least 1")
+    for total, starting_with_one in islice(_word_counts(), lo - 1, hi):
+        yield UncrowdedCounts(total, total - 1, starting_with_one)
 
 
 def count_uncrowded(n: int) -> UncrowdedCounts:
     """Counts of uncrowded tableaux of size n: all of them, those with two
     rows, and those whose second row contains n (equivalently, binary words
     starting with 1)."""
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    total, starting_with_one = _word_counts(n - 1)
-    return UncrowdedCounts(total, total - 1, starting_with_one)
+    return next(count_uncrowded_range(n, n))

@@ -6,12 +6,13 @@ filtering and memoized counting instead of Kahn enumeration, raw window
 scans instead of element-anchored ones, word filtering instead of move
 closures.  The slow paths that the library's fast ones replaced live here
 too: pairwise inversion counting, backtracking pattern search for the
-boolean test, leftmost-descent rescans for a reduced word, and the
-recursive count of odd-block binary words.
+boolean test, leftmost-descent rescans for a reduced word, the recursive
+count of odd-block binary words, the element-by-window crowding scan and
+the recursive construction of a canonical word from its leftmost letters.
 """
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 
@@ -78,6 +79,21 @@ def uncrowded_naive(values):
             if sum(1 for e in elements if y <= e <= y + 2 * x) > x + 1:
                 return False
     return True
+
+
+def crowding_witness_scan(values):
+    """(y, x, count) for the least element y, then the least x, whose window
+    [y, y+2x] holds more than x+1 elements; every x up to half the span."""
+    elements = sorted(set(values))
+    if len(elements) <= 1:
+        return None
+    max_x = (elements[-1] - elements[0] + 1) // 2
+    for lo, y in enumerate(elements):
+        for x in range(1, max_x + 1):
+            count = bisect_right(elements, y + 2 * x) - lo
+            if count > x + 1:
+                return (y, x, count)
+    return None
 
 
 def reduced_word_count(entries, _cache={}):
@@ -169,3 +185,30 @@ def odd_block_words(m):
 @lru_cache(maxsize=None)
 def odd_block_words_starting_with_one(m):
     return sum(1 if block == m else odd_block_words(m - block - 1) for block in range(1, m + 1, 2))
+
+
+def odd_block_word_list(m):
+    """The binary words of length m whose blocks of 1s are odd, by filtering
+    all 2^m words in lexicographic order."""
+    return [
+        bits
+        for bits in itertools.product((0, 1), repeat=m)
+        if all(len(block) % 2 == 1 for block in "".join(map(str, bits)).split("0") if block)
+    ]
+
+
+def realize_by_recursion(wanted):
+    """(dec, inc) letter tuples of the canonical word whose runs start at the
+    sorted letters ``wanted``: the smallest excess letter m_j > 2j+1 heads a
+    decreasing run, the letters above it recurse after a downward shift."""
+    if not wanted:
+        return [], []
+    if all(m == 2 * i + 1 for i, m in enumerate(wanted)):
+        return [], [(2 * i + 1, 2 * i + 2) for i in range(len(wanted) - 1, -1, -1)]
+    j = next(i for i, m in enumerate(wanted) if m > 2 * i + 1)
+    pivot = wanted[j]
+    sub_dec, sub_inc = realize_by_recursion([z - pivot for z in wanted if z > pivot])
+    shift = lambda runs: [tuple(a + pivot for a in run) for run in runs]
+    dec = [(pivot, pivot - 1)] + shift(sub_dec)
+    inc = shift(sub_inc) + [(2 * i - 1, 2 * i) for i in range(j, 0, -1)]
+    return dec, inc

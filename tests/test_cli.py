@@ -12,6 +12,17 @@ import pytest
 from boolrsk import cli
 
 
+def run_python_fresh(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def run_cli_fresh(*argv):
+    return run_python_fresh("-m", "boolrsk.cli", *argv)
+
+
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -50,6 +61,12 @@ class TestExitCodes:
         assert code == 1
         assert "crowded" in err
 
+    def test_three_row_tableau_is_one(self):
+        code, out, err = run_cli("uncrowded", "tableau", "1 4 / 2 5 / 3 6")
+        assert code == 1
+        assert out == ""
+        assert err == "error: tableau has 3 rows; at most two allowed\n"
+
     def test_rho_identity_is_one(self):
         code, _, err = run_cli("rho", "1 2 3")
         assert code == 1
@@ -76,15 +93,25 @@ class TestPlainOutput:
 
     @pytest.mark.parametrize("size", ["600", "1000"])
     def test_large_count_in_fresh_process(self, size):
-        # a fresh interpreter, so no count table is warm from earlier tests
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        done = subprocess.run(
-            [sys.executable, "-m", "boolrsk.cli", "count", size],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        # a fresh interpreter, at the recursion limit it starts with
+        done = run_cli_fresh("count", size)
         assert done.returncode == 0
         assert "Traceback" not in done.stderr
         assert done.stdout.strip().splitlines()[-1].startswith(f"{size} ")
+
+    def test_realize_1500_letters_in_fresh_process(self):
+        # one letter per level of the construction, past the recursion limit
+        letters = " ".join(str(a) for a in range(2, 4500, 3))
+        done = run_cli_fresh("uncrowded", "realize", letters, "--degree", "10000")
+        assert done.returncode == 0
+        assert "Traceback" not in done.stderr
+        assert done.stdout.startswith("letters = {2, 5, 8,")
+
+    def test_import_leaves_acceptance_suite_unloaded(self):
+        done = run_python_fresh(
+            "-c", "import sys, boolrsk.cli; print('boolrsk.acceptance' in sys.modules)"
+        )
+        assert done.stdout.strip() == "False"
 
     def test_ulam_moves(self):
         _, out, _ = run_cli("ulam", "5 1 6 4 2 7 3 8")

@@ -1,6 +1,9 @@
-"""The fast boolean test, inversion count and reduced word against the slow
-paths they replaced, plus a guard against a return to a cubic success path."""
+"""The fast boolean test, inversion count, reduced word, crowding check,
+realization and word enumeration against the slow paths they replaced,
+plus guards against a return to a cubic or span-bound cost and to
+recursion that grows with the input."""
 
+import itertools
 import random
 import time
 
@@ -11,16 +14,25 @@ from boolrsk import (
     NotBooleanError,
     Word,
     all_permutations,
+    crowding_witness,
     evaluate,
     heap_of,
+    is_uncrowded,
+    odd_run_words,
+    realize_leftmost_letters,
     reduced_word_of,
 )
 
 from oracles import (
     boolean_witness_by_patterns,
+    crowding_witness_scan,
     length_pairwise,
+    odd_block_word_list,
+    odd_block_words,
+    realize_by_recursion,
     reduced_word_by_leftmost_descent,
 )
+from test_cli import run_cli_fresh
 
 
 def heap_from_word(letters, n):
@@ -102,3 +114,77 @@ def test_degree_2000_boolean_success_path_is_fast():
     assert w.length() == n - 1
     assert len(heap_of(w).elements) == n - 1
     assert time.perf_counter() - start < 2.0
+
+
+def sparse_set(rng, size, gaps=(2, 3, 4)):
+    values = [rng.randint(-50, 50)]
+    while len(values) < size:
+        values.append(values[-1] + rng.choice(gaps))
+    return values
+
+
+class TestCrowdingWitness:
+    def test_every_subset_of_0_to_12(self):
+        for size in range(14):
+            for subset in itertools.combinations(range(13), size):
+                assert crowding_witness(subset) == crowding_witness_scan(subset), subset
+
+    def test_random_sets_with_negative_entries(self):
+        rng = random.Random(6113)
+        for _ in range(3000):
+            values = rng.sample(range(-40, 40), rng.randint(0, 24))
+            assert crowding_witness(values) == crowding_witness_scan(values), values
+
+    def test_sparse_sets_with_and_without_a_planted_triple(self):
+        rng = random.Random(4409)
+        for _ in range(4):
+            values = sparse_set(rng, rng.randint(200, 400))
+            assert crowding_witness(values) is None
+            assert crowding_witness_scan(values) is None
+            e = values[rng.randrange(len(values) - 1)]
+            planted = sorted(set(values) | {e + 1, e + 2})
+            witness = crowding_witness(planted)
+            assert witness is not None and witness == crowding_witness_scan(planted)
+
+    def test_near_tight_sets_with_gaps_of_one(self):
+        # gaps of 1 among gaps of 2 crowd windows of every width
+        rng = random.Random(7331)
+        for _ in range(30):
+            values = sparse_set(rng, rng.randint(200, 400), gaps=(1, 2, 2, 2, 2, 2, 3))
+            assert crowding_witness(values) == crowding_witness_scan(values)
+
+    def test_100000_element_sparse_set_is_fast(self):
+        values = sparse_set(random.Random(100000), 100000)
+        start = time.perf_counter()
+        assert is_uncrowded(values)
+        assert time.perf_counter() - start < 1.0
+
+    def test_20000_element_set_in_fresh_process(self):
+        # every window of the even numbers is full, and the span is 40000
+        start = time.perf_counter()
+        done = run_cli_fresh("uncrowded", "set", " ".join(map(str, range(0, 40000, 2))))
+        assert time.perf_counter() - start < 5.0
+        assert done.returncode == 0
+        assert "Traceback" not in done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "uncrowded"
+
+
+class TestRecursionFree:
+    def test_realize_matches_recursive_construction(self):
+        for size in range(7):
+            for wanted in itertools.combinations(range(1, 13), size):
+                if not is_uncrowded(set(wanted) | {0}):
+                    continue
+                canonical = realize_leftmost_letters(wanted, 26)
+                dec, inc = realize_by_recursion(list(wanted))
+                assert [run.letters for run in canonical.dec_runs] == dec
+                assert [run.letters for run in canonical.inc_runs] == inc
+
+    def test_odd_run_words_match_filtering(self):
+        for n in range(1, 13):
+            words = [word.bits for word in odd_run_words(n)]
+            assert words == odd_block_word_list(n - 1)
+            assert len(words) == odd_block_words(n - 1)
+
+    def test_first_odd_run_word_of_degree_1500(self):
+        assert next(odd_run_words(1500)).bits == (0,) * 1499

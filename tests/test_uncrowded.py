@@ -17,6 +17,7 @@ from boolrsk import (
     canonical_from_heap,
     canonical_from_word,
     count_uncrowded,
+    count_uncrowded_range,
     crowding_witness,
     evaluate,
     heap_of,
@@ -121,8 +122,10 @@ class TestRealize:
         assert canonical_from_heap(heap_of(w)) == canonical
 
     def test_crowded_rejected(self):
-        with pytest.raises(CrowdedError):
+        with pytest.raises(CrowdedError) as caught:
             realize_leftmost_letters({1, 2}, 9)
+        assert caught.value.witness == (0, 1, 3)
+        assert str(caught.value) == "[0, 1, 2] is crowded: window [0, 2] holds 3 > 2 elements"
 
     def test_degree_too_small_rejected(self):
         with pytest.raises(DomainError, match="degree"):
@@ -184,8 +187,10 @@ class TestTableauToWord:
         assert tableau_from_binary_word(word) == T([1, 2], [3, 4])
 
     def test_crowded_rejected(self):
-        with pytest.raises(CrowdedError):
+        with pytest.raises(CrowdedError) as caught:
             binary_word_from_tableau(T([1, 2, 3, 5], [4, 6, 7, 8]))
+        assert caught.value.witness == (4, 2, 4)
+        assert str(caught.value) == "second row [4, 6, 7, 8] is crowded"
 
     def test_bijection_small(self):
         for n in range(1, 11):
@@ -247,6 +252,12 @@ class TestCounts:
             counts = count_uncrowded(n)
             assert counts.total == odd_block_words(n - 1)
             assert counts.max_in_row2 == odd_block_words_starting_with_one(n - 1)
+
+    def test_range_matches_single_sizes(self):
+        assert list(count_uncrowded_range(3, 40)) == [count_uncrowded(n) for n in range(3, 41)]
+        assert list(count_uncrowded_range(5, 4)) == []
+        with pytest.raises(ValueError):
+            count_uncrowded(0)
 
     def test_linear_recurrence_to_size_1000(self):
         totals = [None] + [count_uncrowded(n).total for n in range(1, 1001)]
