@@ -28,7 +28,6 @@ from .runstat import (
     RunStep,
     UlamMove,
     apply_ulam_move,
-    brute_force_run,
     optimal_run_word,
     run_statistic,
     run_step,
@@ -47,7 +46,6 @@ from .uncrowded import (
     odd_run_words,
     realize_leftmost_letters,
     tableau_from_binary_word,
-    uncrowded_after_adding_one,
 )
 from .words import (
     Heap,

@@ -2,8 +2,10 @@
 
 Each criterion is a function that either returns a short detail string or
 raises AssertionError.  The oracles here (patience sorting for subsequence
-lengths, direct subset enumeration for uncrowded families) are deliberately
-separate code paths from the library implementations they check.
+lengths, direct subset enumeration for uncrowded families, run peeling for
+the canonical word, a minimum over all reduced words for the run statistic)
+are deliberately separate code paths from the library implementations they
+check.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from functools import lru_cache
 from importlib import resources
 from typing import Callable, Sequence
 
-from .canonical import canonical_from_heap, canonical_from_word
+from .canonical import CanonicalWord, canonical_from_heap, canonical_from_word
+from .errors import DegreeLimitError
 from .permutation import Permutation, all_permutations
 from .rsk import StandardTableau, row2_from_canonical, rsk, shape_of
-from .runstat import brute_force_run, run_statistic, run_step
+from .runstat import run_statistic, run_step
 from .uncrowded import (
     binary_word_from_tableau,
     count_uncrowded,
@@ -32,10 +35,11 @@ from .uncrowded import (
     odd_run_words,
     tableau_from_binary_word,
 )
-from .words import heap_of, linear_extensions
+from .words import RunWord, Word, all_reduced_words, heap_of, linear_extensions, run_decomposition
 
 TOTALS_1_TO_10 = (1, 2, 3, 6, 10, 19, 33, 61, 108, 197)
 MAX_IN_ROW2_1_TO_10 = (0, 1, 1, 3, 4, 9, 14, 28, 47, 89)
+BRUTE_FORCE_DEGREE_LIMIT = 6
 
 
 @lru_cache(maxsize=None)
@@ -57,6 +61,49 @@ def lis_length_patience(values: Sequence[int]) -> int:
 
 def lds_length_patience(values: Sequence[int]) -> int:
     return lis_length_patience([-v for v in values])
+
+
+def brute_force_run(w: Permutation) -> int:
+    """Minimum run count over every reduced word of w; the independent oracle
+    for run_statistic, guarded to small degrees."""
+    if w.n > BRUTE_FORCE_DEGREE_LIMIT:
+        raise DegreeLimitError(
+            f"degree {w.n} exceeds the brute-force limit {BRUTE_FORCE_DEGREE_LIMIT}"
+        )
+    return min(len(run_decomposition(word)) for word in all_reduced_words(w))
+
+
+def canonical_by_peeling(word: Word) -> CanonicalWord:
+    """The canonical word of a reduced word with distinct letters, by peeling
+    runs off the word itself rather than scanning its heap.
+
+    Take the smallest letter a.  If a+1 is absent, peel the singleton a to the
+    left.  If a+1 sits left of a, peel the longest decreasing run b..a (each
+    letter left of its predecessor) to the left.  If a+1 sits right of a, peel
+    the longest increasing run a..b to the right.  Repeat on what remains.
+    """
+    letters = list(word.letters)
+    dec: list[RunWord] = []
+    inc: list[RunWord] = []
+    while letters:
+        position = {a: i for i, a in enumerate(letters)}
+        a = min(letters)
+        if a + 1 not in position:
+            dec.append(RunWord((a,)))
+            b = a
+        elif position[a + 1] < position[a]:
+            b = a + 1
+            while b + 1 in position and position[b + 1] < position[b]:
+                b += 1
+            dec.append(RunWord(tuple(range(b, a - 1, -1))))
+        else:
+            b = a + 1
+            while b + 1 in position and position[b + 1] > position[b]:
+                b += 1
+            inc.insert(0, RunWord(tuple(range(a, b + 1))))
+        consumed = set(range(a, b + 1))
+        letters = [x for x in letters if x not in consumed]
+    return CanonicalWord(tuple(dec), tuple(inc), word.n)
 
 
 def uncrowded_tableaux(n: int) -> list[StandardTableau]:
@@ -122,6 +169,7 @@ def criterion_4() -> str:
             heap = heap_of(w)
             expected = canonical_from_heap(heap)
             for word in linear_extensions(heap):
+                assert canonical_by_peeling(word) == expected, f"{w}: {word.letters}"
                 assert canonical_from_word(word) == expected, f"{w}: {word.letters}"
                 checked += 1
     return f"{checked} reduced words"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, NotBooleanError
-from .words import Heap, RunWord, Word, evaluate, is_reduced
+from .words import Heap, RunWord, Word, _heap_of_word, evaluate, is_reduced
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,11 @@ def canonical_from_heap(heap: Heap) -> CanonicalWord:
 
 
 def canonical_from_word(word: Word) -> CanonicalWord:
-    """Build the canonical word by peeling runs off an arbitrary reduced word.
+    """Build the canonical word from an arbitrary reduced word of a boolean
+    permutation.
 
-    Take the smallest letter a.  If a+1 is absent, peel the singleton a to the
-    left.  If a+1 sits left of a, peel the longest decreasing run b..a (each
-    letter left of its predecessor) to the left.  If a+1 sits right of a, peel
-    the longest increasing run a..b to the right.  Recurse on what remains.
+    The word's letters are distinct, so it fixes the order of every pair of
+    consecutive letters: that is the heap, which the heap scan then reads.
     The result does not depend on which reduced word was supplied.
     """
     if not is_reduced(word):
@@ -114,28 +113,7 @@ def canonical_from_word(word: Word) -> CanonicalWord:
         witness = evaluate(word).boolean_witness()
         assert witness is not None
         raise NotBooleanError(*witness)
-    letters = list(word.letters)
-    dec: list[RunWord] = []
-    inc: list[RunWord] = []
-    while letters:
-        position = {a: i for i, a in enumerate(letters)}
-        a = min(letters)
-        if a + 1 not in position:
-            dec.append(RunWord((a,)))
-            b = a
-        elif position[a + 1] < position[a]:
-            b = a + 1
-            while b + 1 in position and position[b + 1] < position[b]:
-                b += 1
-            dec.append(RunWord(tuple(range(b, a - 1, -1))))
-        else:
-            b = a + 1
-            while b + 1 in position and position[b + 1] > position[b]:
-                b += 1
-            inc.insert(0, RunWord(tuple(range(a, b + 1))))
-        consumed = set(range(a, b + 1))
-        letters = [x for x in letters if x not in consumed]
-    return CanonicalWord(tuple(dec), tuple(inc), word.n)
+    return canonical_from_heap(_heap_of_word(word))
 
 
 def leftmost_letters(canonical: CanonicalWord) -> frozenset[int]:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every subcommand prints a human-readable report by default and a JSON
-envelope with ``--json``.  Exit codes: 0 success, 1 domain error (not
+envelope with ``--json``: its name as ``command``, the keys that echo the
+input, ``format`` and ``result``, in that order.  Exit codes: 0 success, 1 domain error (not
 boolean, crowded, degree guard), 2 parse or usage error.
 """
 
@@ -14,7 +15,6 @@ from typing import Sequence
 
 from .canonical import canonical_from_heap, canonical_from_word, leftmost_letters, rightmost_letters
 from .errors import DomainError, ParseError
-from .permutation import Permutation
 from .rsk import row2_from_canonical, rsk, shape_of
 from .runstat import apply_ulam_move, optimal_run_word, run_statistic, run_step, ulam_sort
 from .textio import (
@@ -40,27 +40,26 @@ from .uncrowded import (
 )
 from .words import Word, all_reduced_words, evaluate, heap_of
 
-Envelope = dict
+Output = tuple[dict, dict, str]  # envelope head keys, result, plain-text report
 
 
 def _tableau_payload(tableau) -> list[list[int]]:
     return [list(row) for row in tableau.rows]
 
 
-def _cmd_rsk(args) -> tuple[Envelope, str]:
+def _canonical_payload(canonical) -> dict:
+    return {
+        "dec": [list(run.letters) for run in canonical.dec_runs],
+        "inc": [list(run.letters) for run in canonical.inc_runs],
+        "letters": list(canonical.letters),
+    }
+
+
+def _cmd_rsk(args) -> Output:
     w = parse_permutation(args.perm)
     p, q = rsk(w)
     shape = shape_of(w)
-    envelope = {
-        "command": "rsk",
-        "input": space_separated(w.entries),
-        "format": "json",
-        "result": {
-            "P": _tableau_payload(p),
-            "Q": _tableau_payload(q),
-            "shape": list(shape.parts),
-        },
-    }
+    result = {"P": _tableau_payload(p), "Q": _tableau_payload(q), "shape": list(shape.parts)}
     plain = "\n".join(
         [
             f"w = {w}",
@@ -71,10 +70,10 @@ def _cmd_rsk(args) -> tuple[Envelope, str]:
             f"shape: {space_separated(shape.parts)}",
         ]
     )
-    return envelope, plain
+    return {"input": space_separated(w.entries)}, result, plain
 
 
-def _cmd_canonical(args) -> tuple[Envelope, str]:
+def _cmd_canonical(args) -> Output:
     lines = []
     if args.from_word:
         letters = parse_int_list(args.word_or_perm)
@@ -88,25 +87,20 @@ def _cmd_canonical(args) -> tuple[Envelope, str]:
         lines.append(f"input word = {format_flat_word(word.letters)}")
     else:
         w = parse_permutation(args.word_or_perm)
+        letters = w.entries
         canonical = canonical_from_heap(heap_of(w))
     row2_p, row2_q = row2_from_canonical(canonical)
-    envelope = {
-        "command": "canonical",
-        "input": space_separated(
-            parse_int_list(args.word_or_perm) if args.from_word else w.entries
-        ),
+    head = {
+        "input": space_separated(letters),
         "from_word": bool(args.from_word),
         "degree": canonical.n,
-        "format": "json",
-        "result": {
-            "dec": [list(run.letters) for run in canonical.dec_runs],
-            "inc": [list(run.letters) for run in canonical.inc_runs],
-            "letters": list(canonical.letters),
-            "leftmost": sorted(leftmost_letters(canonical)),
-            "rightmost": sorted(rightmost_letters(canonical)),
-            "row2_P": sorted(row2_p),
-            "row2_Q": sorted(row2_q),
-        },
+    }
+    result = {
+        **_canonical_payload(canonical),
+        "leftmost": sorted(leftmost_letters(canonical)),
+        "rightmost": sorted(rightmost_letters(canonical)),
+        "row2_P": sorted(row2_p),
+        "row2_Q": sorted(row2_q),
     }
     lines += [
         f"w = {w}",
@@ -116,24 +110,19 @@ def _cmd_canonical(args) -> tuple[Envelope, str]:
         f"second row of P = {format_int_set(row2_p)}",
         f"second row of Q = {format_int_set(row2_q)}",
     ]
-    return envelope, "\n".join(lines)
+    return head, result, "\n".join(lines)
 
 
-def _cmd_run(args) -> tuple[Envelope, str]:
+def _cmd_run(args) -> Output:
     w = parse_permutation(args.perm)
     runs = optimal_run_word(w)
     statistic = run_statistic(w)
     lis = len(w.lex_least_lis())
-    envelope = {
-        "command": "run",
-        "input": space_separated(w.entries),
-        "format": "json",
-        "result": {
-            "n": w.n,
-            "lis": lis,
-            "run": statistic,
-            "optimal_run_word": [list(run.letters) for run in runs],
-        },
+    result = {
+        "n": w.n,
+        "lis": lis,
+        "run": statistic,
+        "optimal_run_word": [list(run.letters) for run in runs],
     }
     plain = "\n".join(
         [
@@ -144,27 +133,22 @@ def _cmd_run(args) -> tuple[Envelope, str]:
             f"optimal run word = {format_run_word(runs)}",
         ]
     )
-    return envelope, plain
+    return {"input": space_separated(w.entries)}, result, plain
 
 
-def _cmd_rho(args) -> tuple[Envelope, str]:
+def _cmd_rho(args) -> Output:
     w = parse_permutation(args.perm)
     lis = w.lex_least_lis()
     step = run_step(w)
-    envelope = {
-        "command": "rho",
-        "input": space_separated(w.entries),
-        "format": "json",
-        "result": {
-            "lis_values": list(lis.values),
-            "lis_positions": list(lis.positions),
-            "case": step.case,
-            "run": list(step.run.letters),
-            "side": step.side,
-            "result": list(step.result.entries),
-            "length_before": w.length(),
-            "length_after": step.result.length(),
-        },
+    result = {
+        "lis_values": list(lis.values),
+        "lis_positions": list(lis.positions),
+        "case": step.case,
+        "run": list(step.run.letters),
+        "side": step.side,
+        "result": list(step.result.entries),
+        "length_before": w.length(),
+        "length_after": step.result.length(),
     }
     missing = next(v for v in range(1, w.n + 1) if v not in set(lis.values))
     plain = "\n".join(
@@ -180,10 +164,10 @@ def _cmd_rho(args) -> tuple[Envelope, str]:
             f"result length = {step.result.length()}",
         ]
     )
-    return envelope, plain
+    return {"input": space_separated(w.entries)}, result, plain
 
 
-def _cmd_ulam(args) -> tuple[Envelope, str]:
+def _cmd_ulam(args) -> Output:
     w = parse_permutation(args.perm)
     runs = optimal_run_word(w)
     moves = ulam_sort(w)
@@ -192,17 +176,10 @@ def _cmd_ulam(args) -> tuple[Envelope, str]:
     for move in moves:
         u = apply_ulam_move(u, move)
         states.append(u)
-    envelope = {
-        "command": "ulam",
-        "input": space_separated(w.entries),
-        "format": "json",
-        "result": {
-            "optimal_run_word": [list(run.letters) for run in runs],
-            "moves": [
-                {"pos": m.from_position, "after": m.insert_after_value} for m in moves
-            ],
-            "states": [list(s.entries) for s in states],
-        },
+    result = {
+        "optimal_run_word": [list(run.letters) for run in runs],
+        "moves": [{"pos": m.from_position, "after": m.insert_after_value} for m in moves],
+        "states": [list(s.entries) for s in states],
     }
     lines = [
         f"w = {w}",
@@ -212,77 +189,54 @@ def _cmd_ulam(args) -> tuple[Envelope, str]:
     for k, (move, state) in enumerate(zip(moves, states), start=1):
         after = "front" if move.insert_after_value is None else str(move.insert_after_value)
         lines.append(f"{k}) move pos={move.from_position} after={after} -> {state}")
-    return envelope, "\n".join(lines)
+    return {"input": space_separated(w.entries)}, result, "\n".join(lines)
 
 
-def _cmd_heap(args) -> tuple[Envelope, str]:
+def _cmd_heap(args) -> Output:
     w = parse_permutation(args.perm)
     heap = heap_of(w)
-    envelope = {
-        "command": "heap",
-        "input": space_separated(w.entries),
-        "format": "json",
-        "result": {
-            "elements": sorted(heap.elements),
-            "covers": sorted([x, y] for x, y in heap.covers),
-        },
+    result = {
+        "elements": sorted(heap.elements),
+        "covers": sorted([x, y] for x, y in heap.covers),
     }
     lines = [f"w = {w}", f"elements: {space_separated(sorted(heap.elements))}"]
     lines += heap_cover_lines(heap)
     lines.append("")
     lines.append(heap_sketch(heap))
-    return envelope, "\n".join(lines)
+    return {"input": space_separated(w.entries)}, result, "\n".join(lines)
 
 
-def _cmd_words(args) -> tuple[Envelope, str]:
+def _cmd_words(args) -> Output:
     w = parse_permutation(args.perm)
     words = all_reduced_words(w)
-    envelope = {
-        "command": "words",
-        "input": space_separated(w.entries),
-        "format": "json",
-        "result": {
-            "count": len(words),
-            "words": [list(word.letters) for word in words],
-        },
-    }
+    result = {"count": len(words), "words": [list(word.letters) for word in words]}
     lines = [f"w = {w}", f"reduced words: {len(words)}"]
     lines += [format_flat_word(word.letters) for word in words]
-    return envelope, "\n".join(lines)
+    return {"input": space_separated(w.entries)}, result, "\n".join(lines)
 
 
-def _cmd_uncrowded(args) -> tuple[Envelope, str]:
+def _cmd_uncrowded(args) -> Output:
     if args.what == "set":
         values = frozenset(parse_int_list(args.value))
         witness = crowding_witness(values)
-        envelope = {
-            "command": "uncrowded",
-            "mode": "set",
-            "input": space_separated(sorted(values)),
-            "format": "json",
-            "result": {
-                "set": sorted(values),
-                "uncrowded": witness is None,
-                "witness": None if witness is None else list(witness),
-            },
+        head = {"mode": "set", "input": space_separated(sorted(values))}
+        result = {
+            "set": sorted(values),
+            "uncrowded": witness is None,
+            "witness": None if witness is None else list(witness),
         }
-        lines = [f"set = {format_int_set(values)}"]
-        lines.append(_verdict_line(witness))
-        return envelope, "\n".join(lines)
+        lines = [f"set = {format_int_set(values)}", _verdict_line(witness)]
+        return head, result, "\n".join(lines)
     if args.what == "tableau":
         tableau = parse_tableau(args.value)
         witness = tableau_crowding_witness(tableau)
-        envelope = {
-            "command": "uncrowded",
-            "mode": "tableau",
-            "input": " / ".join(space_separated(row) for row in tableau.rows),
-            "format": "json",
-            "result": {
-                "rows": _tableau_payload(tableau),
-                "row2": sorted(tableau.row2),
-                "uncrowded": witness is None,
-                "witness": None if witness is None else list(witness),
-            },
+        rows_text = " / ".join(space_separated(row) for row in tableau.rows)
+        head = {"mode": "tableau", "input": rows_text}
+        result = {
+            "rows": _tableau_payload(tableau),
+            "row2": sorted(tableau.row2),
+            "uncrowded": witness is None,
+            "witness": None if witness is None else list(witness),
         }
         lines = [
             "T:",
@@ -290,32 +244,21 @@ def _cmd_uncrowded(args) -> tuple[Envelope, str]:
             f"second row = {format_int_set(tableau.row2)}",
             _verdict_line(witness),
         ]
-        return envelope, "\n".join(lines)
+        return head, result, "\n".join(lines)
     # realize
     if args.degree is None:
         raise ParseError("realize needs --degree")
     values = frozenset(parse_int_list(args.value))
     canonical = realize_leftmost_letters(values, args.degree)
     w = evaluate(canonical.word)
-    envelope = {
-        "command": "uncrowded",
-        "mode": "realize",
-        "input": space_separated(sorted(values)),
-        "degree": args.degree,
-        "format": "json",
-        "result": {
-            "dec": [list(run.letters) for run in canonical.dec_runs],
-            "inc": [list(run.letters) for run in canonical.inc_runs],
-            "letters": list(canonical.letters),
-            "permutation": list(w.entries),
-        },
-    }
+    head = {"mode": "realize", "input": space_separated(sorted(values)), "degree": args.degree}
+    result = {**_canonical_payload(canonical), "permutation": list(w.entries)}
     lines = [
         f"letters = {format_int_set(values)}",
         f"canonical word = {format_run_word(canonical.runs)}",
         f"boolean permutation = {w}",
     ]
-    return envelope, "\n".join(lines)
+    return head, result, "\n".join(lines)
 
 
 def _verdict_line(witness) -> str:
@@ -325,7 +268,7 @@ def _verdict_line(witness) -> str:
     return f"crowded: window [{y}, {y + 2 * x}] holds {count} values (at most {x + 1} allowed)"
 
 
-def _cmd_count(args) -> tuple[Envelope, str]:
+def _cmd_count(args) -> Output:
     span = args.span.strip()
     if ".." in span:
         lo_text, hi_text = span.split("..", 1)
@@ -338,35 +281,23 @@ def _cmd_count(args) -> tuple[Envelope, str]:
     if lo < 1 or hi < lo:
         raise ParseError(f"bad range: {span!r}")
     rows = [(n, *counts) for n, counts in enumerate(count_uncrowded_range(lo, hi), start=lo)]
-    envelope = {
-        "command": "count",
-        "input": span,
-        "format": "json",
-        "result": {
-            "rows": [
-                {"n": n, "total": total, "two_row": two_row, "max_in_row2": with_max}
-                for n, total, two_row, with_max in rows
-            ]
-        },
+    result = {
+        "rows": [
+            {"n": n, "total": total, "two_row": two_row, "max_in_row2": with_max}
+            for n, total, two_row, with_max in rows
+        ]
     }
     lines = ["n total two-row n-in-row2"]
     lines += [f"{n} {total} {two_row} {with_max}" for n, total, two_row, with_max in rows]
-    return envelope, "\n".join(lines)
+    return {"input": span}, result, "\n".join(lines)
 
 
-def _cmd_bij(args) -> tuple[Envelope, str]:
+def _cmd_bij(args) -> Output:
     if args.direction == "f":
         word = parse_binary_word(args.value)
         tableau = tableau_from_binary_word(word)
-        envelope = {
-            "command": "bij",
-            "direction": "f",
-            "input": str(word),
-            "format": "json",
-            "result": {"rows": _tableau_payload(tableau)},
-        }
         plain = "\n".join([f"x = {word}", "T:", format_tableau(tableau)])
-        return envelope, plain
+        return {"direction": "f", "input": str(word)}, {"rows": _tableau_payload(tableau)}, plain
     # direction g: value is inline rows ("a b / c d") or a file path
     text = args.value
     try:
@@ -376,15 +307,9 @@ def _cmd_bij(args) -> tuple[Envelope, str]:
         pass
     tableau = parse_tableau(text)
     word = binary_word_from_tableau(tableau)
-    envelope = {
-        "command": "bij",
-        "direction": "g",
-        "input": " / ".join(space_separated(row) for row in tableau.rows),
-        "format": "json",
-        "result": {"word": str(word)},
-    }
+    head = {"direction": "g", "input": " / ".join(space_separated(row) for row in tableau.rows)}
     plain = "\n".join(["T:", format_tableau(tableau), f"x = {word}"])
-    return envelope, plain
+    return head, {"word": str(word)}, plain
 
 
 def _cmd_selftest(args) -> int:
@@ -466,7 +391,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "selftest":
         return _cmd_selftest(args)
     try:
-        envelope, plain = args.handler(args)
+        head, result, plain = args.handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -474,6 +399,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
+        envelope = {"command": args.command, **head, "format": "json", "result": result}
         print(json.dumps(envelope, indent=2))
     else:
         print(plain)

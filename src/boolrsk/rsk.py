@@ -112,6 +112,14 @@ def _bump(rows: list[list[int]], value: int) -> int:
         r += 1
 
 
+def _insert(values) -> list[list[int]]:
+    """The rows after inserting ``values`` in order into an empty tableau."""
+    rows: list[list[int]] = []
+    for value in values:
+        _bump(rows, value)
+    return rows
+
+
 def rsk(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
     """Insert w(1), ..., w(n); return the insertion and recording tableaux.
 
@@ -134,10 +142,7 @@ def partial_insertion(w: Permutation, i: int) -> StandardTableau:
     """The insertion tableau of the prefix w(1), ..., w(i)."""
     if not 1 <= i <= w.n:
         raise ValueError(f"prefix length {i} out of range 1..{w.n}")
-    rows: list[list[int]] = []
-    for value in w.entries[:i]:
-        _bump(rows, value)
-    return StandardTableau(tuple(tuple(row) for row in rows))
+    return StandardTableau(tuple(tuple(row) for row in _insert(w.entries[:i])))
 
 
 def shape_of(w: Permutation) -> Shape:
@@ -146,10 +151,7 @@ def shape_of(w: Permutation) -> Shape:
     Its first part is the length of a longest increasing subsequence of w and
     the first part of its conjugate is the length of a longest decreasing one.
     """
-    rows: list[list[int]] = []
-    for value in w.entries:
-        _bump(rows, value)
-    return Shape(tuple(len(row) for row in rows))
+    return Shape(tuple(len(row) for row in _insert(w.entries)))
 
 
 def row2_from_canonical(canonical: CanonicalWord) -> tuple[frozenset[int], frozenset[int]]:

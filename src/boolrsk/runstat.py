@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegreeLimitError, DomainError
+from .errors import DomainError
 from .permutation import Permutation
-from .words import RunWord, all_reduced_words, run_decomposition
-
-BRUTE_FORCE_DEGREE_LIMIT = 6
+from .words import RunWord
 
 CASE_MISSING_ONE = "missing-value-is-1"
 CASE_RIGHT_OF_PREDECESSOR = "right-of-predecessor"
@@ -143,13 +141,3 @@ def ulam_sort(w: Permutation) -> tuple[UlamMove, ...]:
         u = u.apply_word(letters, "right")
     assert u.is_identity()
     return tuple(moves)
-
-
-def brute_force_run(w: Permutation) -> int:
-    """Minimum run count over every reduced word of w; the independent oracle
-    for run_statistic, guarded to small degrees."""
-    if w.n > BRUTE_FORCE_DEGREE_LIMIT:
-        raise DegreeLimitError(
-            f"degree {w.n} exceeds the brute-force limit {BRUTE_FORCE_DEGREE_LIMIT}"
-        )
-    return min(len(run_decomposition(word)) for word in all_reduced_words(w))

@@ -114,21 +114,6 @@ def is_feasible_second_row(values: Iterable[int]) -> bool:
     return all(r >= 2 * j for j, r in enumerate(sorted(set(values)), start=1))
 
 
-def uncrowded_after_adding_one(values: Iterable[int]) -> bool:
-    """For a set realizable inside a second row, adjoining 1 cannot change
-    crowdedness; returns the (common) verdict and insists the two agree."""
-    elements = set(values)
-    if not is_feasible_second_row(elements):
-        raise DomainError(f"{sorted(elements)} is not realizable inside a second row")
-    with_one = is_uncrowded(elements | {1})
-    without = is_uncrowded(elements)
-    if with_one != without:
-        raise AssertionError(
-            f"adjoining 1 changed the verdict for {sorted(elements)}; should be impossible"
-        )
-    return with_one
-
-
 def realize_leftmost_letters(letters: Iterable[int], n: int) -> CanonicalWord:
     """A canonical word whose runs start exactly at the given letters.
 
@@ -213,22 +198,16 @@ def tableau_from_binary_word(word: BinaryWord) -> StandardTableau:
     return StandardTableau((tuple(sorted(row1)), tuple(sorted(row2))))
 
 
-def _window_matches(row2: set[int], z: int, k: int) -> bool:
-    required = {z, z - 1} | {z - (2 * m - 1) for m in range(2, k + 1)}
-    if not required <= row2:
-        return False
-    return all(e in required for e in range(z - 2 * k, z + 1) if e in row2)
-
-
 def binary_word_from_tableau(tableau: StandardTableau) -> BinaryWord:
     """The binary word encoding an uncrowded tableau; inverse of
     tableau_from_binary_word.
 
-    Working down from the largest second-row entry z, set the bit at n+1-z;
-    when z-1 also sits in row two, the largest k with the window [z-2k, z]
-    meeting row two exactly in {z, z-1, z-3, ..., z-(2k-1)} extends the block
-    by 2k further 1s.  Crowded second rows are rejected; uncrowdedness is what
-    keeps the block extension well defined.
+    One pass over the indices i = 1..n-1, each naming the entry z = n+1-i.
+    An entry z of row two opens a block of 1s.  The block is the single 1 at
+    i unless z-1 is in row two too; then it runs to the first i+2k with
+    z-2k-1 not in row two.  Uncrowdedness is what forces this pattern: the
+    entries z-2, z-4, ..., z-2k of such a block all sit in row one.  Crowded
+    second rows are rejected.
     """
     if not tableau.has_contiguous_content():
         raise DomainError("tableau entries must be exactly 1..n")
@@ -238,19 +217,19 @@ def binary_word_from_tableau(tableau: StandardTableau) -> BinaryWord:
     n = tableau.n
     bits = [0] * (n - 1)
     row2 = set(tableau.row2)
-    while row2:
-        z = max(row2)
-        bits[n - z] = 1
-        if z - 1 not in row2:
-            row2.remove(z)
+    i = 1
+    while i < n:
+        z = n + 1 - i
+        if z not in row2:
+            i += 1
             continue
-        assert _window_matches(row2, z, 1), "uncrowdedness must allow k = 1"
-        k = 1
-        while _window_matches(row2, z, k + 1):
-            k += 1
-        for j in range(n + 2 - z, n + 2 * k + 2 - z):
-            bits[j - 1] = 1
-        row2 -= {z, z - 1} | {z - (2 * m - 1) for m in range(2, k + 1)}
+        k = 0
+        if z - 1 in row2:
+            k = 1
+            while z - 2 * k - 1 in row2:
+                k += 1
+        bits[i - 1 : i + 2 * k] = [1] * (2 * k + 1)
+        i += 2 * k + 1
     return BinaryWord(tuple(bits))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DegreeLimitError, DomainError
-from .permutation import Permutation, _product_of_letters, identity
+from .permutation import Permutation, _product_of_letters
 
 # all_reduced_words / commutation_class explode factorially past desk scale
 ENUMERATION_DEGREE_LIMIT = 9
@@ -176,17 +176,17 @@ def heap_of(w: Permutation) -> Heap:
     orientation of every consecutive pair.
     """
     w.require_boolean()
-    word = reduced_word_of(w).letters
-    position = {letter: i for i, letter in enumerate(word)}
-    support = frozenset(word)
+    return _heap_of_word(reduced_word_of(w))
+
+
+def _heap_of_word(word: Word) -> Heap:
+    """The heap read off one reduced word whose letters are distinct."""
+    position = {letter: i for i, letter in enumerate(word.letters)}
     covers = set()
-    for i in sorted(support):
-        if i + 1 in support:
-            if position[i] < position[i + 1]:
-                covers.add((i, i + 1))
-            else:
-                covers.add((i + 1, i))
-    return Heap(support, frozenset(covers), w.n)
+    for i in position:
+        if i + 1 in position:
+            covers.add((i, i + 1) if position[i] < position[i + 1] else (i + 1, i))
+    return Heap(frozenset(position), frozenset(covers), word.n)
 
 
 def linear_extensions(heap: Heap) -> Iterator[Word]:

@@ -7,8 +7,9 @@ scans instead of element-anchored ones, word filtering instead of move
 closures.  The slow paths that the library's fast ones replaced live here
 too: pairwise inversion counting, backtracking pattern search for the
 boolean test, leftmost-descent rescans for a reduced word, the recursive
-count of odd-block binary words, the element-by-window crowding scan and
-the recursive construction of a canonical word from its leftmost letters.
+count of odd-block binary words, the element-by-window crowding scan, the
+recursive construction of a canonical word from its leftmost letters and
+the window-by-window decoding of a tableau's binary word.
 """
 
 import itertools
@@ -212,3 +213,33 @@ def realize_by_recursion(wanted):
     dec = [(pivot, pivot - 1)] + shift(sub_dec)
     inc = shift(sub_inc) + [(2 * i - 1, 2 * i) for i in range(j, 0, -1)]
     return dec, inc
+
+
+def binary_word_by_windows(tableau):
+    """The bits of the binary word of an uncrowded tableau, block by block:
+    from the largest second-row entry z down, grow k while the window
+    [z-2k, z] meets row two exactly in {z, z-1, z-3, ..., z-(2k-1)}."""
+
+    def window_matches(row2, z, k):
+        required = {z, z - 1} | {z - (2 * m - 1) for m in range(2, k + 1)}
+        if not required <= row2:
+            return False
+        return all(e in required for e in range(z - 2 * k, z + 1) if e in row2)
+
+    n = sum(len(row) for row in tableau.rows)
+    bits = [0] * (n - 1)
+    row2 = set(tableau.rows[1]) if len(tableau.rows) > 1 else set()
+    while row2:
+        z = max(row2)
+        bits[n - z] = 1
+        if z - 1 not in row2:
+            row2.remove(z)
+            continue
+        assert window_matches(row2, z, 1), "uncrowdedness must allow k = 1"
+        k = 1
+        while window_matches(row2, z, k + 1):
+            k += 1
+        for j in range(n + 2 - z, n + 2 * k + 2 - z):
+            bits[j - 1] = 1
+        row2 -= {z, z - 1} | {z - (2 * m - 1) for m in range(2, k + 1)}
+    return tuple(bits)

@@ -230,6 +230,43 @@ class TestJsonEnvelopes:
         keys = list(json.loads(first).keys())
         assert keys == ["command", "input", "format", "result"]
 
+    PLAIN_KEYS = ["command", "input", "format", "result"]
+    KEY_ORDERS = [
+        (("rsk", "3 1 4 2"), PLAIN_KEYS),
+        (("canonical", "3 1 4 2"), ["command", "input", "from_word", "degree", "format", "result"]),
+        (
+            ("canonical", "--from-word", "1 3", "--degree", "5"),
+            ["command", "input", "from_word", "degree", "format", "result"],
+        ),
+        (("run", "3 1 4 2"), PLAIN_KEYS),
+        (("rho", "3 1 4 2"), PLAIN_KEYS),
+        (("ulam", "3 1 4 2"), PLAIN_KEYS),
+        (("heap", "3 1 4 2"), PLAIN_KEYS),
+        (("words", "3 1 4 2"), PLAIN_KEYS),
+        (("uncrowded", "set", "4 6 7 8"), ["command", "mode", "input", "format", "result"]),
+        (("uncrowded", "tableau", "1 2 / 3 4"), ["command", "mode", "input", "format", "result"]),
+        (
+            ("uncrowded", "realize", "1 3", "--degree", "5"),
+            ["command", "mode", "input", "degree", "format", "result"],
+        ),
+        (("count", "1..4"), PLAIN_KEYS),
+        (("bij", "f", "101"), ["command", "direction", "input", "format", "result"]),
+        (("bij", "g", "1 2 / 3 4"), ["command", "direction", "input", "format", "result"]),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,keys",
+        KEY_ORDERS,
+        ids=[" ".join(a for a in argv[:2] if not a[0].isdigit()) for argv, _ in KEY_ORDERS],
+    )
+    def test_key_order_of_every_subcommand(self, argv, keys):
+        code, out, _ = run_cli(*argv, "--json")
+        assert code == 0
+        envelope = json.loads(out)
+        assert list(envelope.keys()) == keys
+        assert envelope["command"] == argv[0]
+        assert envelope["format"] == "json"
+
 
 class TestSelftestCommand:
     def test_single_fast_criterion(self):

@@ -1,7 +1,8 @@
 """The fast boolean test, inversion count, reduced word, crowding check,
-realization and word enumeration against the slow paths they replaced,
-plus guards against a return to a cubic or span-bound cost and to
-recursion that grows with the input."""
+realization, word enumeration, canonical word and binary-word decoding
+against the slow paths they replaced, plus guards against a return to a
+cubic, quadratic or span-bound cost and to recursion that grows with the
+input."""
 
 import itertools
 import random
@@ -10,10 +11,13 @@ import time
 import pytest
 
 from boolrsk import (
+    BinaryWord,
     Heap,
     NotBooleanError,
     Word,
     all_permutations,
+    binary_word_from_tableau,
+    canonical_from_word,
     crowding_witness,
     evaluate,
     heap_of,
@@ -21,9 +25,12 @@ from boolrsk import (
     odd_run_words,
     realize_leftmost_letters,
     reduced_word_of,
+    tableau_from_binary_word,
 )
+from boolrsk.acceptance import canonical_by_peeling
 
 from oracles import (
+    binary_word_by_windows,
     boolean_witness_by_patterns,
     crowding_witness_scan,
     length_pairwise,
@@ -116,6 +123,16 @@ def test_degree_2000_boolean_success_path_is_fast():
     assert time.perf_counter() - start < 2.0
 
 
+def test_canonical_word_matches_peeling_degrees_100_to_500():
+    rng = random.Random(3391)
+    for n in range(100, 501, 100):
+        for letters in (range(1, n), rng.sample(range(1, n), rng.randint(n // 2, n - 2))):
+            letters = list(letters)
+            rng.shuffle(letters)
+            word = Word(tuple(letters), n)
+            assert canonical_from_word(word) == canonical_by_peeling(word)
+
+
 def sparse_set(rng, size, gaps=(2, 3, 4)):
     values = [rng.randint(-50, 50)]
     while len(values) < size:
@@ -188,3 +205,36 @@ class TestRecursionFree:
 
     def test_first_odd_run_word_of_degree_1500(self):
         assert next(odd_run_words(1500)).bits == (0,) * 1499
+
+
+def random_odd_block_word(rng, length):
+    """Zeros and odd blocks of 1s up to 51 long, cut to ``length`` bits with
+    the last block kept odd."""
+    bits = []
+    while len(bits) < length:
+        if rng.random() < 0.5:
+            bits.append(0)
+        else:
+            block = min(rng.randrange(1, 52, 2), length - len(bits))
+            block -= 1 - block % 2
+            bits += [1] * block + [0]
+    return BinaryWord(tuple(bits[:length]))
+
+
+class TestBinaryWordDecoding:
+    # criterion 6 of the acceptance suite round-trips every word up to size 14
+    def test_matches_window_scan_on_long_words(self):
+        rng = random.Random(8123)
+        for length in (200, 500, 1000, 2000):
+            word = random_odd_block_word(rng, length)
+            assert word.has_odd_one_runs()
+            tableau = tableau_from_binary_word(word)
+            assert binary_word_from_tableau(tableau) == word
+            assert binary_word_by_windows(tableau) == word.bits
+
+    def test_all_ones_of_size_20002_is_fast(self):
+        tableau = tableau_from_binary_word(BinaryWord((1,) * 20001))
+        start = time.perf_counter()
+        word = binary_word_from_tableau(tableau)
+        assert time.perf_counter() - start < 1.0
+        assert word.bits == (1,) * 20001

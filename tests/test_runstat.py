@@ -11,7 +11,6 @@ from boolrsk import (
     Word,
     all_permutations,
     apply_ulam_move,
-    brute_force_run,
     evaluate,
     identity,
     is_reduced,
@@ -21,6 +20,7 @@ from boolrsk import (
     run_step,
     ulam_sort,
 )
+from boolrsk.acceptance import brute_force_run
 from boolrsk.runstat import (
     CASE_LEFT_OF_PREDECESSOR,
     CASE_MISSING_ONE,

@@ -29,7 +29,6 @@ from boolrsk import (
     realize_leftmost_letters,
     rsk,
     tableau_from_binary_word,
-    uncrowded_after_adding_one,
 )
 
 from oracles import odd_block_words, odd_block_words_starting_with_one, uncrowded_naive
@@ -81,11 +80,16 @@ class TestUncrowdedTableau:
 
 
 class TestAdjoiningOne:
+    """Adjoining 1 never changes crowdedness of a set that fits inside a
+    second row."""
+
     def test_realizable_uncrowded(self):
-        assert uncrowded_after_adding_one({4, 5, 8}) is True
+        assert is_feasible_second_row({4, 5, 8})
+        assert is_uncrowded({4, 5, 8}) and is_uncrowded({1, 4, 5, 8})
 
     def test_empty(self):
-        assert uncrowded_after_adding_one(set()) is True
+        assert is_feasible_second_row(set())
+        assert is_uncrowded(set()) and is_uncrowded({1})
 
     def test_unrealizable_rejected(self):
         # {2,4,6,7} saturates every prefix (the 4th element would need to be
@@ -93,14 +97,14 @@ class TestAdjoiningOne:
         # flips the verdict; the realizability precondition screens it out
         assert is_uncrowded({2, 4, 6, 7})
         assert not is_uncrowded({1, 2, 4, 6, 7})
-        with pytest.raises(DomainError, match="realizable"):
-            uncrowded_after_adding_one({2, 4, 6, 7})
+        assert not is_feasible_second_row({2, 4, 6, 7})
 
     def test_never_flips_for_actual_second_rows(self):
         for n in range(1, 8):
             for w in boolean_permutations(n):
-                row2 = rsk(w)[0].row2
-                assert uncrowded_after_adding_one(row2) is True
+                row2 = set(rsk(w)[0].row2)
+                assert is_feasible_second_row(row2)
+                assert is_uncrowded(row2) and is_uncrowded(row2 | {1})
 
 
 class TestRealize:
