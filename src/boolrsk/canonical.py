@@ -73,28 +73,31 @@ def canonical_from_heap(heap: Heap) -> CanonicalWord:
     decreasing run.  If a+1 lies below a, walk right to the first minimal
     element b and append the decreasing run b..a.  If a+1 lies above a, walk
     right to the first maximal element b and prepend the increasing run a..b.
-    Remove the consumed interval and repeat.
+    Skip the consumed interval and repeat.  The consumed elements are always
+    the least ones left, so one ascending sweep over the sorted elements
+    visits each once: O(n log n).
     """
-    remaining = set(heap.elements)
+    elements = sorted(heap.elements)
     dec: list[RunWord] = []
     inc: list[RunWord] = []
-    while remaining:
-        a = min(remaining)
-        if a + 1 not in remaining:
+    i = 0
+    while i < len(elements):
+        a = elements[i]
+        b = a
+        if a + 1 not in heap.elements:
             dec.append(RunWord((a,)))
-            remaining.remove(a)
-            continue
-        if heap.precedes(a + 1, a):
+        elif heap.precedes(a + 1, a):
             b = a + 1
-            while b + 1 in remaining and heap.precedes(b + 1, b):
+            while b + 1 in heap.elements and heap.precedes(b + 1, b):
                 b += 1
             dec.append(RunWord(tuple(range(b, a - 1, -1))))
         else:
             b = a + 1
-            while b + 1 in remaining and heap.precedes(b, b + 1):
+            while b + 1 in heap.elements and heap.precedes(b, b + 1):
                 b += 1
-            inc.insert(0, RunWord(tuple(range(a, b + 1))))
-        remaining -= set(range(a, b + 1))
+            inc.append(RunWord(tuple(range(a, b + 1))))
+        i += b - a + 1
+    inc.reverse()
     return CanonicalWord(tuple(dec), tuple(inc), heap.n)
 
 

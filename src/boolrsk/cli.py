@@ -16,7 +16,7 @@ from typing import Sequence
 from .canonical import canonical_from_heap, canonical_from_word, leftmost_letters, rightmost_letters
 from .errors import DomainError, ParseError
 from .rsk import row2_from_canonical, rsk, shape_of
-from .runstat import apply_ulam_move, optimal_run_word, run_statistic, run_step, ulam_sort
+from .runstat import _moves_from_runs, apply_ulam_move, optimal_run_word, run_statistic, run_step
 from .textio import (
     format_flat_word,
     format_int_set,
@@ -170,7 +170,7 @@ def _cmd_rho(args) -> Output:
 def _cmd_ulam(args) -> Output:
     w = parse_permutation(args.perm)
     runs = optimal_run_word(w)
-    moves = ulam_sort(w)
+    moves = _moves_from_runs(w, runs)
     states = []
     u = w
     for move in moves:

@@ -9,6 +9,7 @@ safe to share across threads.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -242,33 +243,33 @@ class Permutation:
         """The longest increasing subsequence whose value sequence is
         lexicographically least among all longest increasing subsequences.
 
+        Patience sorting over the entries read right to left puts each position
+        on the level equal to the length of the longest increasing subsequence
+        starting there.  Along one level the values rise as the positions
+        fall: if i < j shared a level and w(i) < w(j), then i would sit one
+        level higher.  A pick on level k + 1 has some larger value to its right
+        on level k, so the least value on level k above the pick also lies to
+        its right, and one binary search finds it.  O(n log n).
+
         >>> Permutation((5, 1, 6, 4, 2, 7, 3, 8)).lex_least_lis().values
         (1, 2, 3, 8)
         """
-        w = self.entries
-        n = self.n
-        # longest[i]: length of the longest increasing subsequence starting at i
-        longest = [1] * n
-        for i in range(n - 2, -1, -1):
-            best = 0
-            for j in range(i + 1, n):
-                if w[j] > w[i] and longest[j] > best:
-                    best = longest[j]
-            longest[i] = best + 1
-        need = max(longest)
-        positions: list[int] = []
+        tails: list[int] = []  # tails[k]: least -w(i) seen on level k + 1
+        levels: list[list[int]] = []  # levels[k]: values on level k + 1, ascending
+        for v in reversed(self.entries):
+            k = bisect_left(tails, -v)
+            if k == len(tails):
+                tails.append(-v)
+                levels.append([v])
+            else:
+                tails[k] = -v
+                levels[k].append(v)
+        values = []
         floor_val = 0
-        start = 0
-        while need > 0:
-            pick = min(
-                (p for p in range(start, n) if w[p] > floor_val and longest[p] == need),
-                key=lambda p: w[p],
-            )
-            positions.append(pick)
-            floor_val = w[pick]
-            start = pick + 1
-            need -= 1
-        return Subsequence(tuple(p + 1 for p in positions), tuple(w[p] for p in positions))
+        for level in reversed(levels):
+            floor_val = level[bisect_right(level, floor_val)]
+            values.append(floor_val)
+        return Subsequence(tuple(self._positions[v - 1] for v in values), tuple(values))
 
     def __str__(self) -> str:
         return "".join(str(v) if v <= 9 else f"({v})" for v in self.entries)

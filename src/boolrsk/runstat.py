@@ -125,9 +125,14 @@ def ulam_sort(w: Permutation) -> tuple[UlamMove, ...]:
     multiplying by a reversed run on the right deletes one entry and reinserts
     it, which is exactly an Ulam move.  The move count is run_statistic(w).
     """
+    return _moves_from_runs(w, optimal_run_word(w))
+
+
+def _moves_from_runs(w: Permutation, runs: tuple[RunWord, ...]) -> tuple[UlamMove, ...]:
+    """The Ulam moves read off ``runs``, an optimal run word for w."""
     moves = []
     u = w
-    for run in reversed(optimal_run_word(w)):
+    for run in reversed(runs):
         letters = run.reversed().letters
         if letters[0] <= letters[-1]:
             # increasing (or singleton): the entry at position a slides right to b+1

@@ -10,6 +10,7 @@ the reduced words.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -193,25 +194,42 @@ def linear_extensions(heap: Heap) -> Iterator[Word]:
     """All linear extensions of the heap, in lexicographic order of letters.
 
     For the heap of a boolean permutation these are exactly its reduced words.
+    A depth-first search with an explicit stack: the placed elements are
+    the stack, and ``available`` holds, in order, the unplaced elements whose
+    lower covers are all placed.  Backtracking puts the last element back and
+    tries the next available one above it, so no recursion depth grows with
+    the heap.
     """
-    elements = sorted(heap.elements)
-    below = {e: {x for (x, y) in heap.covers if y == e} for e in elements}
-    placed: set[int] = set()
+    above: dict[int, list[int]] = {e: [] for e in heap.elements}
+    waiting = dict.fromkeys(heap.elements, 0)  # lower covers not yet placed
+    for x, y in heap.covers:
+        above[x].append(y)
+        waiting[y] += 1
+    available = sorted(e for e, count in waiting.items() if not count)
     sequence: list[int] = []
-
-    def emit() -> Iterator[Word]:
-        if len(sequence) == len(elements):
+    k = 0  # index in ``available`` of the next element to try at this depth
+    while True:
+        if len(sequence) == len(waiting):
             yield Word(tuple(sequence), heap.n)
+        if k < len(available):
+            e = available.pop(k)
+            sequence.append(e)
+            for y in above[e]:
+                waiting[y] -= 1
+                if not waiting[y]:
+                    insort(available, y)
+            k = 0
+            continue
+        if not sequence:
             return
-        for e in elements:
-            if e not in placed and below[e] <= placed:
-                placed.add(e)
-                sequence.append(e)
-                yield from emit()
-                sequence.pop()
-                placed.remove(e)
-
-    return emit()
+        e = sequence.pop()
+        for y in above[e]:
+            if not waiting[y]:
+                available.remove(y)
+            waiting[y] += 1
+        k = bisect_left(available, e)
+        available.insert(k, e)
+        k += 1
 
 
 def _word_moves(letters: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

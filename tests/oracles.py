@@ -8,8 +8,10 @@ closures.  The slow paths that the library's fast ones replaced live here
 too: pairwise inversion counting, backtracking pattern search for the
 boolean test, leftmost-descent rescans for a reduced word, the recursive
 count of odd-block binary words, the element-by-window crowding scan, the
-recursive construction of a canonical word from its leftmost letters and
-the window-by-window decoding of a tableau's binary word.
+recursive construction of a canonical word from its leftmost letters, the
+window-by-window decoding of a tableau's binary word, the quadratic DP for
+the least longest increasing subsequence, the min-and-rebuild heap scan for
+the canonical word and the recursive enumeration of linear extensions.
 """
 
 import itertools
@@ -243,3 +245,83 @@ def binary_word_by_windows(tableau):
             bits[j - 1] = 1
         row2 -= {z, z - 1} | {z - (2 * m - 1) for m in range(2, k + 1)}
     return tuple(bits)
+
+
+def lex_least_lis_dp(entries):
+    """(positions, values) of the lexicographically least longest increasing
+    subsequence: an O(n^2) DP for the longest run starting at each position,
+    then a rescan for the least admissible value at each length."""
+    w = entries
+    n = len(w)
+    longest = [1] * n
+    for i in range(n - 2, -1, -1):
+        best = 0
+        for j in range(i + 1, n):
+            if w[j] > w[i] and longest[j] > best:
+                best = longest[j]
+        longest[i] = best + 1
+    need = max(longest)
+    positions = []
+    floor_val = 0
+    start = 0
+    while need > 0:
+        pick = min(
+            (p for p in range(start, n) if w[p] > floor_val and longest[p] == need),
+            key=lambda p: w[p],
+        )
+        positions.append(pick)
+        floor_val = w[pick]
+        start = pick + 1
+        need -= 1
+    return tuple(p + 1 for p in positions), tuple(w[p] for p in positions)
+
+
+def canonical_from_heap_by_min(heap):
+    """The canonical word of a heap: repeatedly take the least remaining
+    element, walk its run and remove the consumed interval from the set."""
+    from boolrsk import CanonicalWord, RunWord
+
+    remaining = set(heap.elements)
+    dec = []
+    inc = []
+    while remaining:
+        a = min(remaining)
+        if a + 1 not in remaining:
+            dec.append(RunWord((a,)))
+            remaining.remove(a)
+            continue
+        if heap.precedes(a + 1, a):
+            b = a + 1
+            while b + 1 in remaining and heap.precedes(b + 1, b):
+                b += 1
+            dec.append(RunWord(tuple(range(b, a - 1, -1))))
+        else:
+            b = a + 1
+            while b + 1 in remaining and heap.precedes(b, b + 1):
+                b += 1
+            inc.insert(0, RunWord(tuple(range(a, b + 1))))
+        remaining -= set(range(a, b + 1))
+    return CanonicalWord(tuple(dec), tuple(inc), heap.n)
+
+
+def linear_extensions_recursive(heap):
+    """Letter tuples of the heap's linear extensions in lexicographic order,
+    placing one available element per level of recursion."""
+    elements = sorted(heap.elements)
+    below = {e: {x for (x, y) in heap.covers if y == e} for e in elements}
+    placed = set()
+    sequence = []
+
+    def emit():
+        if len(sequence) == len(elements):
+            yield tuple(sequence)
+            return
+        for e in elements:
+            if e not in placed and below[e] <= placed:
+                placed.add(e)
+                sequence.append(e)
+                yield from emit()
+                sequence.pop()
+                placed.remove(e)
+
+    return emit()

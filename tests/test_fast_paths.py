@@ -1,8 +1,8 @@
 """The fast boolean test, inversion count, reduced word, crowding check,
-realization, word enumeration, canonical word and binary-word decoding
-against the slow paths they replaced, plus guards against a return to a
-cubic, quadratic or span-bound cost and to recursion that grows with the
-input."""
+realization, word enumeration, canonical word, binary-word decoding, least
+longest increasing subsequence and linear extensions against the slow paths
+they replaced, plus guards against a return to a cubic, quadratic or
+span-bound cost and to recursion that grows with the input."""
 
 import itertools
 import random
@@ -14,17 +14,22 @@ from boolrsk import (
     BinaryWord,
     Heap,
     NotBooleanError,
+    Permutation,
     Word,
     all_permutations,
     binary_word_from_tableau,
+    boolean_permutations,
+    canonical_from_heap,
     canonical_from_word,
     crowding_witness,
     evaluate,
     heap_of,
     is_uncrowded,
+    linear_extensions,
     odd_run_words,
     realize_leftmost_letters,
     reduced_word_of,
+    run_step,
     tableau_from_binary_word,
 )
 from boolrsk.acceptance import canonical_by_peeling
@@ -32,8 +37,11 @@ from boolrsk.acceptance import canonical_by_peeling
 from oracles import (
     binary_word_by_windows,
     boolean_witness_by_patterns,
+    canonical_from_heap_by_min,
     crowding_witness_scan,
     length_pairwise,
+    lex_least_lis_dp,
+    linear_extensions_recursive,
     odd_block_word_list,
     odd_block_words,
     realize_by_recursion,
@@ -238,3 +246,91 @@ class TestBinaryWordDecoding:
         word = binary_word_from_tableau(tableau)
         assert time.perf_counter() - start < 1.0
         assert word.bits == (1,) * 20001
+
+
+def lis_pair(w):
+    sub = w.lex_least_lis()
+    return sub.positions, sub.values
+
+
+def random_permutation(rng, n):
+    entries = list(range(1, n + 1))
+    rng.shuffle(entries)
+    return Permutation(tuple(entries))
+
+
+def near_sorted_permutation(rng, n, moves):
+    """The identity after ``moves`` random delete-and-reinsert moves."""
+    entries = list(range(1, n + 1))
+    for _ in range(moves):
+        v = entries.pop(rng.randrange(n))
+        entries.insert(rng.randrange(n), v)
+    return Permutation(tuple(entries))
+
+
+class TestLexLeastLis:
+    def test_exhaustive_small_groups(self):
+        for n in range(1, 9):
+            for w in all_permutations(n):
+                assert lis_pair(w) == lex_least_lis_dp(w.entries), w
+
+    def test_random_degrees_100_to_500(self):
+        rng = random.Random(4127)
+        for _ in range(300):
+            w = random_permutation(rng, rng.randint(100, 500))
+            assert lis_pair(w) == lex_least_lis_dp(w.entries)
+
+    def test_near_sorted_degrees_100_to_500(self):
+        rng = random.Random(9043)
+        for _ in range(100):
+            w = near_sorted_permutation(rng, rng.randint(100, 500), rng.randint(1, 4))
+            assert lis_pair(w) == lex_least_lis_dp(w.entries)
+
+    def test_step_lengthens_the_lis_by_one(self):
+        rng = random.Random(6007)
+        for _ in range(20):
+            w = random_permutation(rng, 200)
+            assert len(run_step(w).result.lex_least_lis()) == len(w.lex_least_lis()) + 1
+
+    def test_degree_100000_is_fast(self):
+        w = random_permutation(random.Random(100000), 100000)
+        start = time.perf_counter()
+        sub = w.lex_least_lis()
+        assert time.perf_counter() - start < 1.0
+        assert all(w(p) == v for p, v in zip(sub.positions, sub.values))
+
+
+class TestCanonicalFromHeap:
+    def test_every_boolean_permutation_up_to_degree_7(self):
+        for n in range(1, 8):
+            for w in boolean_permutations(n):
+                heap = heap_of(w)
+                assert canonical_from_heap(heap) == canonical_from_heap_by_min(heap), w
+
+    def test_full_and_partial_support_degrees_100_to_500(self):
+        rng = random.Random(5281)
+        for n in range(100, 501, 100):
+            for letters in (range(1, n), rng.sample(range(1, n), (n - 1) * 3 // 5)):
+                heap = heap_of(boolean_from_shuffled_letters(rng, n, letters))
+                assert canonical_from_heap(heap) == canonical_from_heap_by_min(heap)
+
+    def test_full_support_degree_8000_is_fast(self):
+        heap = heap_of(boolean_from_shuffled_letters(random.Random(8000), 8000, range(1, 8000)))
+        start = time.perf_counter()
+        canonical = canonical_from_heap(heap)
+        assert time.perf_counter() - start < 0.2
+        assert len(canonical) == 7999
+
+
+class TestLinearExtensions:
+    def test_every_boolean_heap_up_to_degree_7(self):
+        for n in range(1, 8):
+            for w in boolean_permutations(n):
+                heap = heap_of(w)
+                ours = [word.letters for word in linear_extensions(heap)]
+                assert ours == list(linear_extensions_recursive(heap)), w
+
+    def test_first_extension_of_a_1499_element_chain(self):
+        n = 1500
+        heap = heap_of(evaluate(Word(tuple(range(1, n)), n)))
+        assert next(linear_extensions(heap)).letters == tuple(range(1, n))
