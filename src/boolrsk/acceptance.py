@@ -16,11 +16,11 @@ import itertools
 import math
 import sys
 import time
+from collections.abc import Callable, Sequence
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Sequence
 
 from .canonical import CanonicalWord, canonical_from_heap, canonical_from_word
 from .errors import DegreeLimitError

@@ -11,34 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
-from .canonical import canonical_from_heap, canonical_from_word, leftmost_letters, rightmost_letters
 from .errors import DomainError, ParseError
-from .rsk import row2_from_canonical, rsk, shape_of
-from .runstat import _moves_from_runs, apply_ulam_move, optimal_run_word, run_statistic, run_step
-from .textio import (
-    format_flat_word,
-    format_int_set,
-    format_run_word,
-    format_tableau,
-    heap_cover_lines,
-    heap_sketch,
-    parse_binary_word,
-    parse_int_list,
-    parse_permutation,
-    parse_tableau,
-    space_separated,
-)
-from .uncrowded import (
-    binary_word_from_tableau,
-    count_uncrowded_range,
-    crowding_witness,
-    realize_leftmost_letters,
-    tableau_crowding_witness,
-    tableau_from_binary_word,
-)
-from .words import Word, all_reduced_words, evaluate, heap_of
+
+# Each handler imports the library functions it calls, so a call loads only
+# the modules its subcommand runs.
 
 Output = tuple[dict, dict, str]  # envelope head keys, result, plain-text report
 
@@ -56,6 +34,9 @@ def _canonical_payload(canonical) -> dict:
 
 
 def _cmd_rsk(args) -> Output:
+    from .rsk import rsk, shape_of
+    from .textio import format_tableau, parse_permutation, space_separated
+
     w = parse_permutation(args.perm)
     p, q = rsk(w)
     shape = shape_of(w)
@@ -74,10 +55,27 @@ def _cmd_rsk(args) -> Output:
 
 
 def _cmd_canonical(args) -> Output:
+    from .canonical import (
+        canonical_from_heap,
+        canonical_from_word,
+        leftmost_letters,
+        rightmost_letters,
+    )
+    from .rsk import row2_from_canonical
+    from .textio import (
+        format_flat_word,
+        format_int_set,
+        format_run_word,
+        parse_int_list,
+        parse_permutation,
+        space_separated,
+    )
+    from .words import Word, evaluate, heap_of
+
     lines = []
     if args.from_word:
         letters = parse_int_list(args.word_or_perm)
-        degree = args.degree if args.degree else (max(letters) + 1 if letters else 1)
+        degree = args.degree if args.degree is not None else (max(letters) + 1 if letters else 1)
         try:
             word = Word(tuple(letters), degree)
         except ValueError as exc:
@@ -114,6 +112,9 @@ def _cmd_canonical(args) -> Output:
 
 
 def _cmd_run(args) -> Output:
+    from .runstat import optimal_run_word, run_statistic
+    from .textio import format_run_word, parse_permutation, space_separated
+
     w = parse_permutation(args.perm)
     runs = optimal_run_word(w)
     statistic = run_statistic(w)
@@ -137,6 +138,9 @@ def _cmd_run(args) -> Output:
 
 
 def _cmd_rho(args) -> Output:
+    from .runstat import run_step
+    from .textio import format_flat_word, parse_permutation, space_separated
+
     w = parse_permutation(args.perm)
     lis = w.lex_least_lis()
     step = run_step(w)
@@ -150,7 +154,8 @@ def _cmd_rho(args) -> Output:
         "length_before": w.length(),
         "length_after": step.result.length(),
     }
-    missing = next(v for v in range(1, w.n + 1) if v not in set(lis.values))
+    in_lis = set(lis.values)
+    missing = next(v for v in range(1, w.n + 1) if v not in in_lis)
     plain = "\n".join(
         [
             f"w = {w}",
@@ -168,6 +173,9 @@ def _cmd_rho(args) -> Output:
 
 
 def _cmd_ulam(args) -> Output:
+    from .runstat import _moves_from_runs, apply_ulam_move, optimal_run_word
+    from .textio import format_run_word, parse_permutation, space_separated
+
     w = parse_permutation(args.perm)
     runs = optimal_run_word(w)
     moves = _moves_from_runs(w, runs)
@@ -193,6 +201,9 @@ def _cmd_ulam(args) -> Output:
 
 
 def _cmd_heap(args) -> Output:
+    from .textio import heap_cover_lines, heap_sketch, parse_permutation, space_separated
+    from .words import heap_of
+
     w = parse_permutation(args.perm)
     heap = heap_of(w)
     result = {
@@ -207,6 +218,9 @@ def _cmd_heap(args) -> Output:
 
 
 def _cmd_words(args) -> Output:
+    from .textio import format_flat_word, parse_permutation, space_separated
+    from .words import all_reduced_words
+
     w = parse_permutation(args.perm)
     words = all_reduced_words(w)
     result = {"count": len(words), "words": [list(word.letters) for word in words]}
@@ -216,6 +230,16 @@ def _cmd_words(args) -> Output:
 
 
 def _cmd_uncrowded(args) -> Output:
+    from .textio import (
+        format_int_set,
+        format_run_word,
+        format_tableau,
+        parse_int_list,
+        parse_tableau,
+        space_separated,
+    )
+    from .uncrowded import crowding_witness, realize_leftmost_letters, tableau_crowding_witness
+
     if args.what == "set":
         values = frozenset(parse_int_list(args.value))
         witness = crowding_witness(values)
@@ -246,6 +270,8 @@ def _cmd_uncrowded(args) -> Output:
         ]
         return head, result, "\n".join(lines)
     # realize
+    from .words import evaluate
+
     if args.degree is None:
         raise ParseError("realize needs --degree")
     values = frozenset(parse_int_list(args.value))
@@ -269,6 +295,8 @@ def _verdict_line(witness) -> str:
 
 
 def _cmd_count(args) -> Output:
+    from .uncrowded import count_uncrowded_range
+
     span = args.span.strip()
     if ".." in span:
         lo_text, hi_text = span.split("..", 1)
@@ -280,6 +308,8 @@ def _cmd_count(args) -> Output:
         raise ParseError(f"not a range: {span!r}") from None
     if lo < 1 or hi < lo:
         raise ParseError(f"bad range: {span!r}")
+    if hi > sys.maxsize:
+        raise ParseError(f"range end {hi} exceeds {sys.maxsize}")
     rows = [(n, *counts) for n, counts in enumerate(count_uncrowded_range(lo, hi), start=lo)]
     result = {
         "rows": [
@@ -293,6 +323,9 @@ def _cmd_count(args) -> Output:
 
 
 def _cmd_bij(args) -> Output:
+    from .textio import format_tableau, parse_binary_word, parse_tableau, space_separated
+    from .uncrowded import binary_word_from_tableau, tableau_from_binary_word
+
     if args.direction == "f":
         word = parse_binary_word(args.value)
         tableau = tableau_from_binary_word(word)

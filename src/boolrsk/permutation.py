@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
 
 from .errors import NotBooleanError
 
@@ -143,24 +143,34 @@ class Permutation:
         return frozenset(out)
 
     def _pattern_witness(self, pattern: tuple[int, ...]) -> tuple[int, ...] | None:
-        """Lexicographically least positions forming the pattern, or None."""
+        """Lexicographically least positions forming the pattern, or None.
+
+        A backtracking search on an explicit stack: ``chosen`` holds the
+        positions matched to the first entries of the pattern, and the last
+        iterator in ``candidates`` the positions still to try for the next one.
+        """
         w = self.entries
         n, k = self.n, len(pattern)
-
-        def extend(chosen: list[int]) -> tuple[int, ...] | None:
+        if k == 0:
+            return ()
+        chosen: list[int] = []
+        candidates = [iter(range(n - k + 1))]
+        while candidates:
             d = len(chosen)
-            if d == k:
-                return tuple(p + 1 for p in chosen)
-            start = chosen[-1] + 1 if chosen else 0
-            for p in range(start, n - (k - d) + 1):
+            for p in candidates[-1]:
                 v = w[p]
                 if all((v > w[q]) == (pattern[d] > pattern[e]) for e, q in enumerate(chosen)):
-                    found = extend(chosen + [p])
-                    if found is not None:
-                        return found
-            return None
-
-        return extend([])
+                    break
+            else:  # no position left for entry d: resume entry d - 1 after its match
+                candidates.pop()
+                if chosen:
+                    chosen.pop()
+                continue
+            chosen.append(p)
+            if d + 1 == k:
+                return tuple(q + 1 for q in chosen)
+            candidates.append(iter(range(p + 1, n - k + d + 2)))
+        return None
 
     def contains_pattern(self, sigma: "Permutation") -> bool:
         """True when some subsequence of w is in the same relative order as sigma.

@@ -8,13 +8,12 @@ Parsers accept plain comma- or space-separated integers.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import ParseError
-from .permutation import Permutation
-from .rsk import StandardTableau
-from .uncrowded import BinaryWord
-from .words import Heap, RunWord
+
+# The types named below are imported only by the parsers that construct them,
+# so a call that parses integer sets loads no permutation or tableau code.
 
 
 def _tokens(text: str) -> list[str]:
@@ -22,6 +21,8 @@ def _tokens(text: str) -> list[str]:
 
 
 def parse_permutation(text: str) -> Permutation:
+    from .permutation import Permutation
+
     values = parse_int_list(text)
     if not values:
         raise ParseError("empty permutation")
@@ -47,6 +48,8 @@ def parse_int_list(text: str) -> list[int]:
 
 
 def parse_binary_word(text: str) -> BinaryWord:
+    from .words import BinaryWord
+
     text = text.strip()
     for pos, ch in enumerate(text, start=1):
         if ch not in "01":
@@ -56,6 +59,8 @@ def parse_binary_word(text: str) -> BinaryWord:
 
 def parse_tableau(text: str) -> StandardTableau:
     """Rows either one per line or separated by '/' on a single line."""
+    from .rsk import StandardTableau
+
     raw = text.replace("/", "\n")
     rows = []
     for line in raw.splitlines():

@@ -11,51 +11,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
 
-from .canonical import CanonicalWord, leftmost_letters
 from .errors import CrowdedError, DomainError
-from .rsk import StandardTableau
-from .words import RunWord
 
-
-@dataclass(frozen=True)
-class BinaryWord:
-    """A 0/1 word of length n-1 attached to tableaux of size n."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", tuple(self.bits))
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.bits) + 1
-
-    def one_runs(self) -> list[tuple[int, int]]:
-        """Maximal blocks of 1s as (1-based start index, length) pairs."""
-        runs = []
-        i = 0
-        while i < len(self.bits):
-            if self.bits[i] == 1:
-                j = i
-                while j < len(self.bits) and self.bits[j] == 1:
-                    j += 1
-                runs.append((i + 1, j - i))
-                i = j
-            else:
-                i += 1
-        return runs
-
-    def has_odd_one_runs(self) -> bool:
-        return all(length % 2 == 1 for _, length in self.one_runs())
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+# The sibling modules (canonical, rsk, words) are imported inside the functions
+# that construct their classes, so checking or counting loads only this module.
 
 
 def crowding_witness(values: Iterable[int]) -> tuple[int, int, int] | None:
@@ -125,6 +88,8 @@ def realize_leftmost_letters(letters: Iterable[int], n: int) -> CanonicalWord:
     downward shift, and the letters below continue as two-letter increasing
     runs.  Rejects constructions needing letters outside 1..n-1.
     """
+    from .canonical import CanonicalWord
+
     wanted = sorted(set(letters))
     for a in wanted:
         if not 1 <= a <= n - 1:
@@ -145,6 +110,8 @@ def realize_leftmost_letters(letters: Iterable[int], n: int) -> CanonicalWord:
 
 
 def _realize(wanted: list[int]) -> tuple[list[RunWord], list[RunWord]]:
+    from .words import RunWord
+
     # The recursion on the letters above each pivot, unrolled: ``start`` is the
     # first letter of the current level and ``base`` the shift back to the
     # original letters.  Each level's increasing runs go before those of the
@@ -178,6 +145,8 @@ def tableau_from_binary_word(word: BinaryWord) -> StandardTableau:
     1s starting at i and ending at i+2k puts the entries at i, i+1, i+3, ...,
     i+2k-1 in row two and those at i+2, i+4, ..., i+2k in row one.
     """
+    from .rsk import StandardTableau
+
     if not word.has_odd_one_runs():
         raise DomainError(f"{word} has an even block of 1s")
     n = word.n
@@ -209,6 +178,8 @@ def binary_word_from_tableau(tableau: StandardTableau) -> BinaryWord:
     entries z-2, z-4, ..., z-2k of such a block all sit in row one.  Crowded
     second rows are rejected.
     """
+    from .words import BinaryWord
+
     if not tableau.has_contiguous_content():
         raise DomainError("tableau entries must be exactly 1..n")
     witness = tableau_crowding_witness(tableau)
@@ -236,6 +207,8 @@ def binary_word_from_tableau(tableau: StandardTableau) -> BinaryWord:
 def odd_run_words(n: int) -> Iterator[BinaryWord]:
     """All binary words of length n-1 whose blocks of 1s have odd length, in
     lexicographic order."""
+    from .words import BinaryWord
+
     if n < 1:
         raise ValueError("degree must be at least 1")
     bits = [0] * (n - 1)
@@ -261,10 +234,7 @@ def odd_run_words(n: int) -> Iterator[BinaryWord]:
         bits[p:] = head + [0] * (len(bits) - p - len(head))
 
 
-class UncrowdedCounts(NamedTuple):
-    total: int
-    two_row: int
-    max_in_row2: int
+UncrowdedCounts = namedtuple("UncrowdedCounts", ["total", "two_row", "max_in_row2"])
 
 
 def _word_counts() -> Iterator[tuple[int, int]]:

@@ -5,14 +5,15 @@ swapping i and i+1.  For a boolean permutation every reduced word uses each
 support letter exactly once, so the relative order of the letters i and i+1
 is the same in all of its reduced words.  That order is recorded here as a
 partial order (a "heap") on the support whose linear extensions are exactly
-the reduced words.
+the reduced words.  The 0/1 words that encode uncrowded tableaux (see
+``uncrowded``) are kept here beside the other word types.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import DegreeLimitError, DomainError
 from .permutation import Permutation, _product_of_letters
@@ -79,6 +80,43 @@ class RunWord:
 
     def __len__(self) -> int:
         return len(self.letters)
+
+
+@dataclass(frozen=True)
+class BinaryWord:
+    """A 0/1 word of length n-1 attached to tableaux of size n."""
+
+    bits: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bits", tuple(self.bits))
+        if any(b not in (0, 1) for b in self.bits):
+            raise ValueError("bits must be 0 or 1")
+
+    @property
+    def n(self) -> int:
+        return len(self.bits) + 1
+
+    def one_runs(self) -> list[tuple[int, int]]:
+        """Maximal blocks of 1s as (1-based start index, length) pairs."""
+        runs = []
+        i = 0
+        while i < len(self.bits):
+            if self.bits[i] == 1:
+                j = i
+                while j < len(self.bits) and self.bits[j] == 1:
+                    j += 1
+                runs.append((i + 1, j - i))
+                i = j
+            else:
+                i += 1
+        return runs
+
+    def has_odd_one_runs(self) -> bool:
+        return all(length % 2 == 1 for _, length in self.one_runs())
+
+    def __str__(self) -> str:
+        return "".join(str(b) for b in self.bits)
 
 
 @dataclass(frozen=True)

