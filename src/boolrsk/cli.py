@@ -3,7 +3,7 @@
 Every subcommand prints a human-readable report by default and a JSON
 envelope with ``--json``: its name as ``command``, the keys that echo the
 input, ``format`` and ``result``, in that order.  Exit codes: 0 success, 1 domain error (not
-boolean, crowded, degree guard), 2 parse or usage error.
+boolean, crowded, degree guard), 2 parse or usage error or a size past MAX_SIZE.
 """
 
 from __future__ import annotations
@@ -15,10 +15,23 @@ from collections.abc import Sequence
 
 from .errors import DomainError, ParseError
 
-# Each handler imports the library functions it calls, so a call loads only
-# the modules its subcommand runs.
+# Each handler imports the library functions it calls, and main imports the
+# permutation parser only for the subcommands that take one, so a call loads
+# only the modules its subcommand runs.
 
-Output = tuple[dict, dict, str]  # envelope head keys, result, plain-text report
+MAX_SIZE = 10_000  # the largest count size or word degree a call may ask for
+
+Output = tuple[dict, dict, list[str]]  # envelope head keys, result, report lines
+Report = tuple[dict, list[str]]  # result and report lines of a permutation subcommand
+
+
+def _checked_size(what: str, value: int) -> int:
+    """``value`` when it lies in 1..MAX_SIZE; otherwise a parse error."""
+    if value < 1:
+        raise ParseError(f"{what} must be at least 1")
+    if value > MAX_SIZE:
+        raise ParseError(f"{what} {value} exceeds {MAX_SIZE}")
+    return value
 
 
 def _tableau_payload(tableau) -> list[list[int]]:
@@ -33,25 +46,21 @@ def _canonical_payload(canonical) -> dict:
     }
 
 
-def _cmd_rsk(args) -> Output:
+def _cmd_rsk(w) -> Report:
     from .rsk import rsk, shape_of
-    from .textio import format_tableau, parse_permutation, space_separated
+    from .textio import format_tableau, space_separated
 
-    w = parse_permutation(args.perm)
     p, q = rsk(w)
     shape = shape_of(w)
     result = {"P": _tableau_payload(p), "Q": _tableau_payload(q), "shape": list(shape.parts)}
-    plain = "\n".join(
-        [
-            f"w = {w}",
-            "P:",
-            format_tableau(p),
-            "Q:",
-            format_tableau(q),
-            f"shape: {space_separated(shape.parts)}",
-        ]
-    )
-    return {"input": space_separated(w.entries)}, result, plain
+    lines = [
+        "P:",
+        format_tableau(p),
+        "Q:",
+        format_tableau(q),
+        f"shape: {space_separated(shape.parts)}",
+    ]
+    return result, lines
 
 
 def _cmd_canonical(args) -> Output:
@@ -77,7 +86,7 @@ def _cmd_canonical(args) -> Output:
         letters = parse_int_list(args.word_or_perm)
         degree = args.degree if args.degree is not None else (max(letters) + 1 if letters else 1)
         try:
-            word = Word(tuple(letters), degree)
+            word = Word(tuple(letters), _checked_size("degree", degree))
         except ValueError as exc:
             raise ParseError(str(exc)) from None
         canonical = canonical_from_word(word)
@@ -108,14 +117,13 @@ def _cmd_canonical(args) -> Output:
         f"second row of P = {format_int_set(row2_p)}",
         f"second row of Q = {format_int_set(row2_q)}",
     ]
-    return head, result, "\n".join(lines)
+    return head, result, lines
 
 
-def _cmd_run(args) -> Output:
+def _cmd_run(w) -> Report:
     from .runstat import optimal_run_word, run_statistic
-    from .textio import format_run_word, parse_permutation, space_separated
+    from .textio import format_run_word
 
-    w = parse_permutation(args.perm)
     runs = optimal_run_word(w)
     statistic = run_statistic(w)
     lis = len(w.lex_least_lis())
@@ -125,23 +133,19 @@ def _cmd_run(args) -> Output:
         "run": statistic,
         "optimal_run_word": [list(run.letters) for run in runs],
     }
-    plain = "\n".join(
-        [
-            f"w = {w}",
-            f"n = {w.n}",
-            f"longest increasing subsequence length = {lis}",
-            f"run statistic = {statistic}",
-            f"optimal run word = {format_run_word(runs)}",
-        ]
-    )
-    return {"input": space_separated(w.entries)}, result, plain
+    lines = [
+        f"n = {w.n}",
+        f"longest increasing subsequence length = {lis}",
+        f"run statistic = {statistic}",
+        f"optimal run word = {format_run_word(runs)}",
+    ]
+    return result, lines
 
 
-def _cmd_rho(args) -> Output:
+def _cmd_rho(w) -> Report:
     from .runstat import run_step
-    from .textio import format_flat_word, parse_permutation, space_separated
+    from .textio import format_flat_word, space_separated
 
-    w = parse_permutation(args.perm)
     lis = w.lex_least_lis()
     step = run_step(w)
     result = {
@@ -156,77 +160,65 @@ def _cmd_rho(args) -> Output:
     }
     in_lis = set(lis.values)
     missing = next(v for v in range(1, w.n + 1) if v not in in_lis)
-    plain = "\n".join(
-        [
-            f"w = {w}",
-            f"length = {w.length()}",
-            f"lex least longest increasing subsequence = {space_separated(lis.values)}"
-            f" (positions {space_separated(lis.positions)})",
-            f"smallest value missing from it = {missing}",
-            f"case: {step.case}",
-            f"run = {format_flat_word(step.run.letters)} (applied on the {step.side})",
-            f"result = {step.result}",
-            f"result length = {step.result.length()}",
-        ]
-    )
-    return {"input": space_separated(w.entries)}, result, plain
+    lines = [
+        f"length = {w.length()}",
+        f"lex least longest increasing subsequence = {space_separated(lis.values)}"
+        f" (positions {space_separated(lis.positions)})",
+        f"smallest value missing from it = {missing}",
+        f"case: {step.case}",
+        f"run = {format_flat_word(step.run.letters)} (applied on the {step.side})",
+        f"result = {step.result}",
+        f"result length = {step.result.length()}",
+    ]
+    return result, lines
 
 
-def _cmd_ulam(args) -> Output:
-    from .runstat import _moves_from_runs, apply_ulam_move, optimal_run_word
-    from .textio import format_run_word, parse_permutation, space_separated
+def _cmd_ulam(w) -> Report:
+    from .runstat import _moves_from_runs, optimal_run_word
+    from .textio import format_run_word
 
-    w = parse_permutation(args.perm)
     runs = optimal_run_word(w)
-    moves = _moves_from_runs(w, runs)
-    states = []
-    u = w
-    for move in moves:
-        u = apply_ulam_move(u, move)
-        states.append(u)
+    steps = list(_moves_from_runs(w, runs))
     result = {
         "optimal_run_word": [list(run.letters) for run in runs],
-        "moves": [{"pos": m.from_position, "after": m.insert_after_value} for m in moves],
-        "states": [list(s.entries) for s in states],
+        "moves": [{"pos": m.from_position, "after": m.insert_after_value} for m, _ in steps],
+        "states": [list(s.entries) for _, s in steps],
     }
     lines = [
-        f"w = {w}",
         f"optimal run word = {format_run_word(runs)}",
-        f"moves = {len(moves)}",
+        f"moves = {len(steps)}",
     ]
-    for k, (move, state) in enumerate(zip(moves, states), start=1):
+    for k, (move, state) in enumerate(steps, start=1):
         after = "front" if move.insert_after_value is None else str(move.insert_after_value)
         lines.append(f"{k}) move pos={move.from_position} after={after} -> {state}")
-    return {"input": space_separated(w.entries)}, result, "\n".join(lines)
+    return result, lines
 
 
-def _cmd_heap(args) -> Output:
-    from .textio import heap_cover_lines, heap_sketch, parse_permutation, space_separated
+def _cmd_heap(w) -> Report:
+    from .textio import heap_cover_lines, heap_sketch, space_separated
     from .words import heap_of
 
-    w = parse_permutation(args.perm)
     heap = heap_of(w)
     result = {
         "elements": sorted(heap.elements),
         "covers": sorted([x, y] for x, y in heap.covers),
     }
-    lines = [f"w = {w}", f"elements: {space_separated(sorted(heap.elements))}"]
+    lines = [f"elements: {space_separated(sorted(heap.elements))}"]
     lines += heap_cover_lines(heap)
     lines.append("")
     lines.append(heap_sketch(heap))
-    return {"input": space_separated(w.entries)}, result, "\n".join(lines)
+    return result, lines
 
 
-def _cmd_words(args) -> Output:
-    from .textio import format_flat_word, parse_permutation, space_separated
+def _cmd_words(w) -> Report:
+    from .textio import format_flat_word
     from .words import all_reduced_words
 
-    w = parse_permutation(args.perm)
     words = all_reduced_words(w)
     result = {"count": len(words), "words": [list(word.letters) for word in words]}
-    lines = [f"w = {w}", f"reduced words: {len(words)}"]
+    lines = [f"reduced words: {len(words)}"]
     lines += [format_flat_word(word.letters) for word in words]
-    return {"input": space_separated(w.entries)}, result, "\n".join(lines)
+    return result, lines
 
 
 def _cmd_uncrowded(args) -> Output:
@@ -242,40 +234,30 @@ def _cmd_uncrowded(args) -> Output:
 
     if args.what == "set":
         values = frozenset(parse_int_list(args.value))
-        witness = crowding_witness(values)
+        verdict, verdict_line = _verdict(crowding_witness(values))
         head = {"mode": "set", "input": space_separated(sorted(values))}
-        result = {
-            "set": sorted(values),
-            "uncrowded": witness is None,
-            "witness": None if witness is None else list(witness),
-        }
-        lines = [f"set = {format_int_set(values)}", _verdict_line(witness)]
-        return head, result, "\n".join(lines)
+        lines = [f"set = {format_int_set(values)}", verdict_line]
+        return head, {"set": sorted(values), **verdict}, lines
     if args.what == "tableau":
         tableau = parse_tableau(args.value)
-        witness = tableau_crowding_witness(tableau)
+        verdict, verdict_line = _verdict(tableau_crowding_witness(tableau))
         rows_text = " / ".join(space_separated(row) for row in tableau.rows)
         head = {"mode": "tableau", "input": rows_text}
-        result = {
-            "rows": _tableau_payload(tableau),
-            "row2": sorted(tableau.row2),
-            "uncrowded": witness is None,
-            "witness": None if witness is None else list(witness),
-        }
+        result = {"rows": _tableau_payload(tableau), "row2": sorted(tableau.row2), **verdict}
         lines = [
             "T:",
             format_tableau(tableau),
             f"second row = {format_int_set(tableau.row2)}",
-            _verdict_line(witness),
+            verdict_line,
         ]
-        return head, result, "\n".join(lines)
+        return head, result, lines
     # realize
     from .words import evaluate
 
     if args.degree is None:
         raise ParseError("realize needs --degree")
     values = frozenset(parse_int_list(args.value))
-    canonical = realize_leftmost_letters(values, args.degree)
+    canonical = realize_leftmost_letters(values, _checked_size("degree", args.degree))
     w = evaluate(canonical.word)
     head = {"mode": "realize", "input": space_separated(sorted(values)), "degree": args.degree}
     result = {**_canonical_payload(canonical), "permutation": list(w.entries)}
@@ -284,14 +266,16 @@ def _cmd_uncrowded(args) -> Output:
         f"canonical word = {format_run_word(canonical.runs)}",
         f"boolean permutation = {w}",
     ]
-    return head, result, "\n".join(lines)
+    return head, result, lines
 
 
-def _verdict_line(witness) -> str:
+def _verdict(witness) -> tuple[dict, str]:
+    """The result keys and the report line of a crowding check."""
     if witness is None:
-        return "uncrowded"
+        return {"uncrowded": True, "witness": None}, "uncrowded"
     y, x, count = witness
-    return f"crowded: window [{y}, {y + 2 * x}] holds {count} values (at most {x + 1} allowed)"
+    line = f"crowded: window [{y}, {y + 2 * x}] holds {count} values (at most {x + 1} allowed)"
+    return {"uncrowded": False, "witness": list(witness)}, line
 
 
 def _cmd_count(args) -> Output:
@@ -308,8 +292,7 @@ def _cmd_count(args) -> Output:
         raise ParseError(f"not a range: {span!r}") from None
     if lo < 1 or hi < lo:
         raise ParseError(f"bad range: {span!r}")
-    if hi > sys.maxsize:
-        raise ParseError(f"range end {hi} exceeds {sys.maxsize}")
+    _checked_size("range end", hi)
     rows = [(n, *counts) for n, counts in enumerate(count_uncrowded_range(lo, hi), start=lo)]
     result = {
         "rows": [
@@ -319,7 +302,7 @@ def _cmd_count(args) -> Output:
     }
     lines = ["n total two-row n-in-row2"]
     lines += [f"{n} {total} {two_row} {with_max}" for n, total, two_row, with_max in rows]
-    return {"input": span}, result, "\n".join(lines)
+    return {"input": span}, result, lines
 
 
 def _cmd_bij(args) -> Output:
@@ -329,8 +312,8 @@ def _cmd_bij(args) -> Output:
     if args.direction == "f":
         word = parse_binary_word(args.value)
         tableau = tableau_from_binary_word(word)
-        plain = "\n".join([f"x = {word}", "T:", format_tableau(tableau)])
-        return {"direction": "f", "input": str(word)}, {"rows": _tableau_payload(tableau)}, plain
+        lines = [f"x = {word}", "T:", format_tableau(tableau)]
+        return {"direction": "f", "input": str(word)}, {"rows": _tableau_payload(tableau)}, lines
     # direction g: value is inline rows ("a b / c d") or a file path
     text = args.value
     try:
@@ -341,16 +324,37 @@ def _cmd_bij(args) -> Output:
     tableau = parse_tableau(text)
     word = binary_word_from_tableau(tableau)
     head = {"direction": "g", "input": " / ".join(space_separated(row) for row in tableau.rows)}
-    plain = "\n".join(["T:", format_tableau(tableau), f"x = {word}"])
-    return head, {"word": str(word)}, plain
+    return head, {"word": str(word)}, ["T:", format_tableau(tableau), f"x = {word}"]
 
 
-def _cmd_selftest(args) -> int:
-    from . import acceptance
+PERM = ("perm", {})
 
-    numbers = args.criteria or None
-    ok = acceptance.run(numbers, out=sys.stdout)
-    return 0 if ok else 1
+# One row per subcommand: name, help, handler and the arguments after --json,
+# each a name and its add_argument options.  A subcommand whose argument is
+# ``perm`` takes a permutation: main parses it, echoes it as ``input`` and leads
+# the report with ``w = ...``; the handler gets w and returns (result, lines).
+COMMANDS = (
+    ("rsk", "insertion and recording tableaux of a permutation", _cmd_rsk, (
+        ("perm", {"help": "one-line notation, space- or comma-separated"}),)),
+    ("canonical", "canonical reduced word of a boolean permutation", _cmd_canonical, (
+        ("word_or_perm", {"help": "permutation, or a reduced word with --from-word"}),
+        ("--from-word", {"action": "store_true", "help": "treat input as a reduced word"}),
+        ("--degree", {"type": int, "help": "ambient degree for word input"}))),
+    ("run", "run statistic and an optimal run word", _cmd_run, (PERM,)),
+    ("rho", "one run-multiplication step toward the identity", _cmd_rho, (PERM,)),
+    ("ulam", "sort with a minimum number of delete-and-reinsert moves", _cmd_ulam, (PERM,)),
+    ("heap", "cover relations and a sketch of a boolean permutation's heap", _cmd_heap, (PERM,)),
+    ("words", "all reduced words (guarded to small degrees)", _cmd_words, (PERM,)),
+    ("uncrowded", "window-density checks and realization of leftmost letters", _cmd_uncrowded, (
+        ("what", {"choices": ["set", "tableau", "realize"]}),
+        ("value", {"help": "integer set, tableau rows ('1 2 / 3 4'), or letters"}),
+        ("--degree", {"type": int, "help": "ambient degree for realize"}))),
+    ("count", "count uncrowded tableaux for a range of sizes, e.g. 1..10", _cmd_count, (
+        ("span", {}),)),
+    ("bij", "the bijection between binary words and uncrowded tableaux", _cmd_bij, (
+        ("direction", {"choices": ["f", "g"], "help": "f: word to tableau; g: back"}),
+        ("value", {"help": "binary word for f; tableau rows or a file for g"}))),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,60 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
         "uncrowded tableaux of boolean permutations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, help_text, handler, arguments in COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit a JSON envelope")
-        return p
-
-    p = add("rsk", "insertion and recording tableaux of a permutation")
-    p.add_argument("perm", help="one-line notation, space- or comma-separated")
-    p.set_defaults(handler=_cmd_rsk)
-
-    p = add("canonical", "canonical reduced word of a boolean permutation")
-    p.add_argument("word_or_perm", help="permutation, or a reduced word with --from-word")
-    p.add_argument("--from-word", action="store_true", help="treat input as a reduced word")
-    p.add_argument("--degree", type=int, help="ambient degree for word input")
-    p.set_defaults(handler=_cmd_canonical)
-
-    p = add("run", "run statistic and an optimal run word")
-    p.add_argument("perm")
-    p.set_defaults(handler=_cmd_run)
-
-    p = add("rho", "one run-multiplication step toward the identity")
-    p.add_argument("perm")
-    p.set_defaults(handler=_cmd_rho)
-
-    p = add("ulam", "sort with a minimum number of delete-and-reinsert moves")
-    p.add_argument("perm")
-    p.set_defaults(handler=_cmd_ulam)
-
-    p = add("heap", "cover relations and a sketch of a boolean permutation's heap")
-    p.add_argument("perm")
-    p.set_defaults(handler=_cmd_heap)
-
-    p = add("words", "all reduced words (guarded to small degrees)")
-    p.add_argument("perm")
-    p.set_defaults(handler=_cmd_words)
-
-    p = add("uncrowded", "window-density checks and realization of leftmost letters")
-    p.add_argument("what", choices=["set", "tableau", "realize"])
-    p.add_argument("value", help="integer set, tableau rows ('1 2 / 3 4'), or letters")
-    p.add_argument("--degree", type=int, help="ambient degree for realize")
-    p.set_defaults(handler=_cmd_uncrowded)
-
-    p = add("count", "count uncrowded tableaux for a range of sizes, e.g. 1..10")
-    p.add_argument("span")
-    p.set_defaults(handler=_cmd_count)
-
-    p = add("bij", "the bijection between binary words and uncrowded tableaux")
-    p.add_argument("direction", choices=["f", "g"], help="f: word to tableau; g: back")
-    p.add_argument("value", help="binary word for f; tableau rows or a file for g")
-    p.set_defaults(handler=_cmd_bij)
+        for argument, options in arguments:
+            p.add_argument(argument, **options)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("criteria", nargs="*", type=int, help="criterion numbers (default all)")
-    p.set_defaults(handler=None)
 
     return parser
 
@@ -422,20 +381,28 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "selftest":
-        return _cmd_selftest(args)
+        from . import acceptance
+
+        ok = acceptance.run(args.criteria or None, out=sys.stdout)
+        return 0 if ok else 1
     try:
-        head, result, plain = args.handler(args)
-    except ParseError as exc:
+        if "perm" in vars(args):
+            from .textio import parse_permutation, space_separated
+
+            w = parse_permutation(args.perm)
+            result, lines = args.handler(w)
+            head = {"input": space_separated(w.entries)}
+            lines = [f"w = {w}", *lines]
+        else:
+            head, result, lines = args.handler(args)
+    except (ParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
     if args.json:
         envelope = {"command": args.command, **head, "format": "json", "result": result}
         print(json.dumps(envelope, indent=2))
     else:
-        print(plain)
+        print("\n".join(lines))
     return 0
 
 

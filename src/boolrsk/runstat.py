@@ -11,6 +11,7 @@ with a minimum number of delete-and-reinsert (Ulam) moves.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -125,12 +126,14 @@ def ulam_sort(w: Permutation) -> tuple[UlamMove, ...]:
     multiplying by a reversed run on the right deletes one entry and reinserts
     it, which is exactly an Ulam move.  The move count is run_statistic(w).
     """
-    return _moves_from_runs(w, optimal_run_word(w))
+    return tuple(move for move, _ in _moves_from_runs(w, optimal_run_word(w)))
 
 
-def _moves_from_runs(w: Permutation, runs: tuple[RunWord, ...]) -> tuple[UlamMove, ...]:
-    """The Ulam moves read off ``runs``, an optimal run word for w."""
-    moves = []
+def _moves_from_runs(
+    w: Permutation, runs: tuple[RunWord, ...]
+) -> Iterator[tuple[UlamMove, Permutation]]:
+    """Each Ulam move read off ``runs``, an optimal run word for w, with the
+    permutation it leaves."""
     u = w
     for run in reversed(runs):
         letters = run.reversed().letters
@@ -142,7 +145,6 @@ def _moves_from_runs(w: Permutation, runs: tuple[RunWord, ...]) -> tuple[UlamMov
             # decreasing: the entry at position b+1 slides left to a
             b, a = letters[0], letters[-1]
             move = UlamMove(b + 1, u(a - 1) if a > 1 else None)
-        moves.append(move)
         u = u.apply_word(letters, "right")
+        yield move, u
     assert u.is_identity()
-    return tuple(moves)

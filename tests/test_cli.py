@@ -13,6 +13,8 @@ import pytest
 
 from boolrsk import cli
 
+MAX = cli.MAX_SIZE
+
 
 def run_python_fresh(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -84,7 +86,98 @@ class TestExitCodes:
         done = run_cli_fresh("count", "1..99999999999999999999")
         assert done.returncode == 2
         assert done.stdout == ""
-        assert done.stderr == f"error: range end 99999999999999999999 exceeds {sys.maxsize}\n"
+        assert done.stderr == f"error: range end 99999999999999999999 exceeds {MAX}\n"
+
+    def test_ceiling_lies_below_the_digit_limit(self):
+        # from n = 16 816 on, the count totals have more than the 4300 digits
+        # that int-to-string conversion allows
+        assert 10_000 <= MAX <= 16_815
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("uncrowded", "realize", "1", "--degree", "0"), "degree must be at least 1"),
+            (("uncrowded", "realize", "", "--degree", "0"), "degree must be at least 1"),
+            (("canonical", "--from-word", str(MAX)), f"degree {MAX + 1} exceeds {MAX}"),
+            (("uncrowded", "realize", "1", "--degree", str(MAX + 1)), f"degree {MAX + 1} exceeds {MAX}"),
+            (("count", f"{MAX - 1}..{MAX + 1}"), f"range end {MAX + 1} exceeds {MAX}"),
+        ],
+    )
+    def test_size_guard_is_two(self, argv, message):
+        done = run_cli_fresh(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", str(MAX)),
+            ("canonical", "--from-word", "1", "--degree", str(MAX)),
+            ("uncrowded", "realize", "1", "--degree", str(MAX)),
+        ],
+        ids=["count", "canonical --from-word", "uncrowded realize"],
+    )
+    def test_the_ceiling_itself_is_accepted(self, argv):
+        done = run_cli_fresh(*argv, "--json")
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert json.loads(done.stdout)["command"] == argv[0]
+
+
+# Every kind of rejected input, as (argv, fresh).  The cases at and past the
+# size ceiling run in a fresh interpreter, where a missing guard shows as the
+# traceback it ends in.
+ERROR_INPUTS = [
+    (("count", str(MAX + 1)), True),
+    (("count", f"1..{MAX + 1}"), True),
+    (("count", "16816"), True),
+    (("count", "1..99999999999999999999"), True),
+    (("canonical", "--from-word", str(MAX)), True),
+    (("canonical", "--from-word", "1", "--degree", str(MAX + 1)), True),
+    (("uncrowded", "realize", "1", "--degree", str(MAX + 1)), True),
+    (("canonical", "--from-word", "1000000000000"), True),
+    (("canonical", "--from-word", "1", "--degree", "1000000000000"), True),
+    (("canonical", "--from-word", "100000000000000000000000"), True),
+    (("uncrowded", "realize", "1", "--degree", "1000000000000"), True),
+    (("canonical", "--from-word", "1", "--degree", "0"), False),
+    (("canonical", "--from-word", "-5"), False),
+    (("uncrowded", "realize", "1", "--degree", "0"), False),
+    (("uncrowded", "realize", "", "--degree", "0"), False),
+    (("uncrowded", "realize", "1 3"), False),
+    (("uncrowded", "realize", "1 2", "--degree", "9"), False),
+    (("uncrowded", "tableau", "1 4 / 2 5 / 3 6"), False),
+    (("uncrowded", "tableau", "2 1 / 3"), False),
+    (("uncrowded", "set", "a"), False),
+    (("rho", "1"), False),
+    (("canonical", "3 2 1"), False),
+    (("heap", "3 4 1 2"), False),
+    (("canonical", "--from-word", "1 1"), False),
+    (("words", "1 2 3 4 5 6 7 8 9 10"), False),
+    (("rsk", "2 2 1"), False),
+    (("run", "1 x 3"), False),
+    (("ulam", ""), False),
+    (("count", "0"), False),
+    (("count", "1..x"), False),
+    (("bij", "f", "102"), False),
+    (("bij", "g", ""), False),
+    (("bij", "g", "1 2 3 / 4 5 6"), False),
+]
+
+
+@pytest.mark.parametrize("form", [(), ("--json",)], ids=["plain", "json"])
+@pytest.mark.parametrize(
+    "argv,fresh", ERROR_INPUTS, ids=[" ".join(argv)[:60] for argv, _ in ERROR_INPUTS]
+)
+def test_every_error_is_one_line_and_exit_one_or_two(argv, fresh, form):
+    if fresh:
+        done = run_cli_fresh(*argv, *form)
+        code, out, err = done.returncode, done.stdout, done.stderr
+    else:
+        code, out, err = run_cli(*argv, *form)
+    assert "Traceback" not in err
+    assert code in (1, 2)
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.endswith("\n") and err.count("\n") == 1
 
 
 class TestPlainOutput:
@@ -305,3 +398,29 @@ class TestSelftestCommand:
         code, out, _ = run_cli("selftest", "2")
         assert code == 0
         assert out.startswith("PASS 2.")
+
+
+USAGE_LINES = {
+    "rsk": "usage: boolrsk rsk [-h] [--json] perm",
+    "canonical": "usage: boolrsk canonical [-h] [--json] [--from-word] [--degree DEGREE] word_or_perm",
+    "run": "usage: boolrsk run [-h] [--json] perm",
+    "rho": "usage: boolrsk rho [-h] [--json] perm",
+    "ulam": "usage: boolrsk ulam [-h] [--json] perm",
+    "heap": "usage: boolrsk heap [-h] [--json] perm",
+    "words": "usage: boolrsk words [-h] [--json] perm",
+    "uncrowded": "usage: boolrsk uncrowded [-h] [--json] [--degree DEGREE] {set,tableau,realize} value",
+    "count": "usage: boolrsk count [-h] [--json] span",
+    "bij": "usage: boolrsk bij [-h] [--json] {f,g} value",
+    "selftest": "usage: boolrsk selftest [-h] [criteria ...]",
+}
+
+
+@pytest.mark.parametrize("command", USAGE_LINES)
+def test_usage_line_of_every_subcommand(command):
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as done:
+        cli.main([command, "--help"])
+    assert done.value.code == 0
+    # argparse wraps the usage to the terminal width; compare it unwrapped
+    usage = out.getvalue().split("\n\n")[0]
+    assert " ".join(usage.split()) == USAGE_LINES[command]

@@ -25,6 +25,7 @@ from boolrsk.runstat import (
     CASE_LEFT_OF_PREDECESSOR,
     CASE_MISSING_ONE,
     CASE_RIGHT_OF_PREDECESSOR,
+    _moves_from_runs,
 )
 
 
@@ -185,6 +186,16 @@ class TestUlamSort:
                 for move in moves:
                     u = apply_ulam_move(u, move)
                 assert u.is_identity()
+
+    def test_states_are_the_replayed_moves(self):
+        for n in range(1, 7):
+            for w in all_permutations(n):
+                steps = list(_moves_from_runs(w, optimal_run_word(w)))
+                assert tuple(move for move, _ in steps) == ulam_sort(w)
+                u = w
+                for move, state in steps:
+                    u = apply_ulam_move(u, move)
+                    assert state == u
 
 
 class TestBruteForceRun:
