@@ -18,10 +18,10 @@ import sys
 import time
 from collections.abc import Callable, Sequence
 from contextlib import redirect_stdout
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
+from ._value import Value
 from .canonical import CanonicalWord, canonical_from_heap, canonical_from_word
 from .errors import DegreeLimitError
 from .permutation import Permutation, all_permutations
@@ -279,12 +279,16 @@ def criterion_9() -> str:
     return f"{checked} boolean permutations"
 
 
-@dataclass(frozen=True)
-class Criterion:
-    number: int
-    title: str
-    budget_seconds: float | None
-    check: Callable[[], str]
+class Criterion(Value):
+    _fields = ("number", "title", "budget_seconds", "check")
+
+    def __init__(
+        self, number: int, title: str, budget_seconds: float | None, check: Callable[[], str]
+    ) -> None:
+        object.__setattr__(self, "number", number)
+        object.__setattr__(self, "title", title)
+        object.__setattr__(self, "budget_seconds", budget_seconds)
+        object.__setattr__(self, "check", check)
 
 
 CRITERIA: tuple[Criterion, ...] = (

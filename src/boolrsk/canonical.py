@@ -15,6 +15,7 @@ from .errors import DomainError, NotBooleanError
 from .words import Heap, RunWord, Word, _heap_of_word, evaluate, is_reduced
 
 
+# The one dataclass value type: the benchmark smoke test calls dataclasses.replace on it.
 @dataclass(frozen=True)
 class CanonicalWord:
     """A reduced word stored as its run partition: decreasing runs (smallest

@@ -34,6 +34,13 @@ def _checked_size(what: str, value: int) -> int:
     return value
 
 
+def _check_letters(letters, degree: int) -> None:
+    """A parse error naming the first letter outside 1..degree-1, if any."""
+    for a in letters:
+        if not 1 <= a <= degree - 1:
+            raise ParseError(f"letter {a} out of range 1..{degree - 1}")
+
+
 def _tableau_payload(tableau) -> list[list[int]]:
     return [list(row) for row in tableau.rows]
 
@@ -85,10 +92,8 @@ def _cmd_canonical(args) -> Output:
     if args.from_word:
         letters = parse_int_list(args.word_or_perm)
         degree = args.degree if args.degree is not None else (max(letters) + 1 if letters else 1)
-        try:
-            word = Word(tuple(letters), _checked_size("degree", degree))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        _check_letters(letters, _checked_size("degree", degree))
+        word = Word(tuple(letters), degree)
         canonical = canonical_from_word(word)
         w = evaluate(word)
         lines.append(f"input word = {format_flat_word(word.letters)}")
@@ -257,7 +262,8 @@ def _cmd_uncrowded(args) -> Output:
     if args.degree is None:
         raise ParseError("realize needs --degree")
     values = frozenset(parse_int_list(args.value))
-    canonical = realize_leftmost_letters(values, _checked_size("degree", args.degree))
+    _check_letters(sorted(values), _checked_size("degree", args.degree))
+    canonical = realize_leftmost_letters(values, args.degree)
     w = evaluate(canonical.word)
     head = {"mode": "realize", "input": space_separated(sorted(values)), "degree": args.degree}
     result = {**_canonical_payload(canonical), "permutation": list(w.entries)}

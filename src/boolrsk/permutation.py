@@ -11,28 +11,29 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._value import Value
 from .errors import NotBooleanError
 
 _PATTERN_321 = (3, 2, 1)
 _PATTERN_3412 = (3, 4, 1, 2)
 
 
-@dataclass(frozen=True)
-class Subsequence:
+class Subsequence(Value):
     """Strictly increasing 1-based positions together with the values they carry."""
 
-    positions: tuple[int, ...]
-    values: tuple[int, ...]
+    _fields = ("positions", "values")
+
+    def __init__(self, positions: tuple[int, ...], values: tuple[int, ...]) -> None:
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     """A permutation of {1, ..., n} in one-line notation.
 
     >>> w = Permutation((5, 1, 3, 4, 2))
@@ -44,10 +45,10 @@ class Permutation:
     '51342'
     """
 
-    entries: tuple[int, ...]
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        object.__setattr__(self, "entries", tuple(entries))
         n = len(self.entries)
         if n == 0:
             raise ValueError("one-line notation must not be empty")

@@ -12,20 +12,19 @@ recording tableau.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
-from .canonical import CanonicalWord, leftmost_letters, rightmost_letters
-from .permutation import Permutation
+from ._value import Value
+
+# Annotations name Permutation and CanonicalWord; neither module loads with this one.
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(Value):
     """A partition: weakly decreasing positive parts."""
 
-    parts: tuple[int, ...]
+    _fields = ("parts",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "parts", tuple(parts))
         for a, b in zip(self.parts, self.parts[1:]):
             if b > a:
                 raise ValueError(f"parts {self.parts} not weakly decreasing")
@@ -42,8 +41,7 @@ class Shape:
         return Shape(tuple(sum(1 for p in self.parts if p > k) for k in range(self.parts[0])))
 
 
-@dataclass(frozen=True)
-class StandardTableau:
+class StandardTableau(Value):
     """Rows of a standard-style tableau: distinct positive entries increasing
     along rows and down columns, row lengths weakly decreasing.
 
@@ -53,10 +51,10 @@ class StandardTableau:
     invariant.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("rows",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "rows", tuple(tuple(row) for row in rows))
         if not self.rows or not all(self.rows):
             raise ValueError("rows must be nonempty")
         for upper, lower in zip(self.rows, self.rows[1:]):
@@ -123,6 +121,7 @@ def _insert(values) -> list[list[int]]:
 def rsk(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
     """Insert w(1), ..., w(n); return the insertion and recording tableaux.
 
+    >>> from boolrsk.permutation import Permutation
     >>> P, Q = rsk(Permutation((3, 4, 1, 2)))
     >>> P.rows
     ((1, 2), (3, 4))
@@ -157,6 +156,8 @@ def shape_of(w: Permutation) -> Shape:
 def row2_from_canonical(canonical: CanonicalWord) -> tuple[frozenset[int], frozenset[int]]:
     """Second rows of the insertion and recording tableaux, read directly off
     the canonical word's run endpoints; no insertion is performed."""
+    from .canonical import leftmost_letters, rightmost_letters
+
     row2_p = frozenset(a + 1 for a in leftmost_letters(canonical))
     row2_q = frozenset(a + 1 for a in rightmost_letters(canonical))
     return row2_p, row2_q

@@ -12,8 +12,8 @@ with a minimum number of delete-and-reinsert (Ulam) moves.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import DomainError
 from .permutation import Permutation
 from .words import RunWord
@@ -23,8 +23,7 @@ CASE_RIGHT_OF_PREDECESSOR = "right-of-predecessor"
 CASE_LEFT_OF_PREDECESSOR = "left-of-predecessor"
 
 
-@dataclass(frozen=True)
-class RunStep:
+class RunStep(Value):
     """One application of the step map: the run used, which side it was
     multiplied on, and which of the three cases fired.
 
@@ -32,19 +31,24 @@ class RunStep:
     length(input) minus len(run).
     """
 
-    result: Permutation
-    run: RunWord
-    side: str
-    case: str
+    _fields = ("result", "run", "side", "case")
+
+    def __init__(self, result: Permutation, run: RunWord, side: str, case: str) -> None:
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "run", run)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "case", case)
 
 
-@dataclass(frozen=True)
-class UlamMove:
+class UlamMove(Value):
     """Delete the entry at ``from_position`` and reinsert it directly after
     the entry with value ``insert_after_value`` (or at the front when None)."""
 
-    from_position: int
-    insert_after_value: int | None
+    _fields = ("from_position", "insert_after_value")
+
+    def __init__(self, from_position: int, insert_after_value: int | None) -> None:
+        object.__setattr__(self, "from_position", from_position)
+        object.__setattr__(self, "insert_after_value", insert_after_value)
 
 
 def run_step(w: Permutation) -> RunStep:

@@ -13,24 +13,22 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections.abc import Iterator
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import DegreeLimitError, DomainError
-from .permutation import Permutation, _product_of_letters
 
 # all_reduced_words / commutation_class explode factorially past desk scale
 ENUMERATION_DEGREE_LIMIT = 9
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """A letter sequence with an ambient degree ``n``; letters lie in 1..n-1."""
 
-    letters: tuple[int, ...]
-    n: int
+    _fields = ("letters", "n")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
+    def __init__(self, letters: tuple[int, ...], n: int) -> None:
+        object.__setattr__(self, "letters", tuple(letters))
+        object.__setattr__(self, "n", n)
         if self.n < 1:
             raise ValueError("degree must be at least 1")
         for a in self.letters:
@@ -41,8 +39,7 @@ class Word:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class RunWord:
+class RunWord(Value):
     """A nonempty run: consecutive integers stepping by +1 or by -1 throughout.
 
     >>> RunWord((3, 4, 5, 6)).direction
@@ -51,10 +48,10 @@ class RunWord:
     'decreasing'
     """
 
-    letters: tuple[int, ...]
+    _fields = ("letters",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
+    def __init__(self, letters: tuple[int, ...]) -> None:
+        object.__setattr__(self, "letters", tuple(letters))
         if not self.letters:
             raise ValueError("run must be nonempty")
         steps = {b - a for a, b in zip(self.letters, self.letters[1:])}
@@ -82,14 +79,13 @@ class RunWord:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class BinaryWord:
+class BinaryWord(Value):
     """A 0/1 word of length n-1 attached to tableaux of size n."""
 
-    bits: tuple[int, ...]
+    _fields = ("bits",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", tuple(self.bits))
+    def __init__(self, bits: tuple[int, ...]) -> None:
+        object.__setattr__(self, "bits", tuple(bits))
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("bits must be 0 or 1")
 
@@ -119,8 +115,7 @@ class BinaryWord:
         return "".join(str(b) for b in self.bits)
 
 
-@dataclass(frozen=True)
-class Heap:
+class Heap(Value):
     """The order forced between consecutive letters in reduced words of a
     boolean permutation.
 
@@ -128,11 +123,12 @@ class Heap:
     relate consecutive integers, so the order is a fence on a path.
     """
 
-    elements: frozenset[int]
-    covers: frozenset[tuple[int, int]]
-    n: int
+    _fields = ("elements", "covers", "n")
 
-    def __post_init__(self) -> None:
+    def __init__(self, elements: frozenset[int], covers: frozenset[tuple[int, int]], n: int):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "covers", covers)
+        object.__setattr__(self, "n", n)
         for x, y in self.covers:
             if abs(x - y) != 1:
                 raise ValueError(f"cover ({x}, {y}) does not relate consecutive letters")
@@ -155,6 +151,8 @@ def evaluate(word: Word) -> Permutation:
     >>> str(evaluate(Word((4, 2, 3, 2, 4, 1), 5)))
     '51342'
     """
+    from .permutation import _product_of_letters  # here, so bij calls load no permutation code
+
     return _product_of_letters(word.letters, word.n)
 
 

@@ -10,6 +10,8 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boolrsk import cli
 
@@ -81,6 +83,20 @@ class TestExitCodes:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr == "error: degree must be at least 1\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("uncrowded", "realize", "9", "--degree", "5"), "letter 9 out of range 1..4"),
+            (("uncrowded", "realize", "1", "--degree", "1"), "letter 1 out of range 1..0"),
+            (("uncrowded", "realize", "9 0 3", "--degree", "5"), "letter 0 out of range 1..4"),
+            (("canonical", "--from-word", "5", "--degree", "3"), "letter 5 out of range 1..2"),
+            (("canonical", "--from-word", "1 9 0", "--degree", "5"), "letter 9 out of range 1..4"),
+        ],
+    )
+    @pytest.mark.parametrize("form", [(), ("--json",)], ids=["plain", "json"])
+    def test_letter_out_of_range_is_two(self, argv, message, form):
+        assert run_cli(*argv, *form) == (2, "", f"error: {message}\n")
 
     def test_count_past_the_index_range_is_two(self):
         done = run_cli_fresh("count", "1..99999999999999999999")
@@ -424,3 +440,79 @@ def test_usage_line_of_every_subcommand(command):
     # argparse wraps the usage to the terminal width; compare it unwrapped
     usage = out.getvalue().split("\n\n")[0]
     assert " ".join(usage.split()) == USAGE_LINES[command]
+
+
+# Argument lists for every subcommand: permutations, integer lists with
+# boundary sizes and junk tokens, binary words, ranges and degrees.
+TOKEN = st.one_of(
+    st.integers(-3, 30).map(str),
+    st.sampled_from(["0", str(MAX), str(MAX + 1), "16816", "x", "..", "/", "1..4", "(10)", ""]),
+)
+TEXT = st.builds(
+    lambda tokens, sep: sep.join(tokens),
+    st.lists(TOKEN, max_size=12),
+    st.sampled_from([" ", ",", " / "]),
+)
+PERMUTATION = st.integers(1, 12).flatmap(
+    lambda n: st.permutations(range(1, n + 1)).map(lambda w: " ".join(map(str, w)))
+)
+VALUE = st.one_of(PERMUTATION, TEXT, st.text("01", max_size=30))
+DEGREE = st.one_of(
+    st.just([]),
+    (st.integers(-2, 40) | st.sampled_from([MAX, MAX + 1])).map(lambda d: ["--degree", str(d)]),
+)
+SPAN = st.one_of(
+    st.integers(-2, 300).map(str),
+    st.builds(lambda lo, hi: f"{lo}..{hi}", st.integers(-2, 300), st.integers(-2, 300)),
+    st.sampled_from(["600", "16816", f"{MAX - 1}..{MAX + 1}", "1..x", "..", ""]),
+    TEXT,
+)
+PERMUTATION_COMMAND = st.sampled_from(["rsk", "run", "rho", "ulam", "heap", "words"])
+ARGV = st.builds(
+    lambda argv, form: argv + form,
+    st.one_of(
+        st.builds(lambda c, v: [c, v], PERMUTATION_COMMAND, PERMUTATION | VALUE),
+        st.builds(
+            lambda v, word, d: ["canonical", v, *word, *d],
+            VALUE, st.sampled_from([[], ["--from-word"]]), DEGREE,
+        ),
+        st.builds(
+            lambda mode, v, d: ["uncrowded", mode, v, *d],
+            st.sampled_from(["set", "tableau", "realize"]), VALUE, DEGREE,
+        ),
+        st.builds(lambda span: ["count", span], SPAN),
+        st.builds(lambda d, v: ["bij", d, v], st.sampled_from(["f", "g"]), VALUE),
+    ),
+    st.sampled_from([[], ["--json"]]),
+) | st.builds(  # criterion 5 (the goldens) or none: the whole suite takes seconds
+    lambda c: ["selftest", *c], st.lists(st.sampled_from(["0", "5", "10"]), min_size=1, max_size=2)
+)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(ARGV)
+@example(["count", "600"])
+@example(["count", "16816"])
+@example(["uncrowded", "set", " ".join(str(v) for v in range(1, 40_000, 2))])
+@example(["uncrowded", "realize", " ".join(str(a) for a in range(2, 4500, 3)), "--degree", str(MAX)])
+@example(["canonical", "--from-word", "1", "--degree", "0"])
+def test_any_argument_list_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            # argparse rejects the argument list itself (an option-like value):
+            # a usage line, then one error line
+            assert exc.code == 2
+            assert err.getvalue().splitlines()[-1].startswith(f"boolrsk {argv[0]}: error: ")
+            return
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
+        if "--json" in argv:
+            assert json.loads(out)["command"] == argv[0]

@@ -4,12 +4,16 @@ objects, and a CLI call loads only the modules its subcommand runs.
 
 Each check that depends on what is loaded runs in a fresh interpreter."""
 
+import ast
+import pathlib
+
 import pytest
 
 import boolrsk
 from test_cli import run_python_fresh
 
 LIBRARY_MODULES = [
+    "_value",
     "acceptance",
     "canonical",
     "cli",
@@ -41,7 +45,7 @@ SUBMODULE_NAMES = ["canonical", "errors", "permutation", "runstat", "uncrowded",
 SUBCOMMANDS = "rsk,canonical,run,rho,ulam,heap,words,uncrowded,count,bij,selftest"
 
 # Runs `python -m boolrsk.cli ARGV`, then prints the loaded boolrsk modules
-# and whether dataclasses was loaded, as the last line.
+# and whether dataclasses and inspect were loaded, as the last line.
 CLI_MODULES = """
 import runpy, sys
 sys.argv = ["boolrsk"] + sys.argv[1:]
@@ -50,8 +54,34 @@ try:
 except SystemExit:
     pass
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "boolrsk")
-print(" ".join(loaded), "dataclasses" in sys.modules)
+print(" ".join(loaded), "dataclasses" in sys.modules, "inspect" in sys.modules)
 """
+
+# Each subcommand form with the boolrsk modules it loads, in sorted order.  A
+# call loads ``canonical`` exactly when it builds a CanonicalWord, the one
+# dataclass, and only then loads dataclasses and inspect.
+CALLS = [
+    (["uncrowded", "set", "1 3 5", "--json"], "errors textio uncrowded"),
+    (["count", "5", "--json"], "errors uncrowded"),
+    (["uncrowded", "tableau", "1 2 / 3", "--json"], "_value errors rsk textio uncrowded"),
+    (["bij", "f", "101", "--json"], "_value errors rsk textio uncrowded words"),
+    (["bij", "g", "1 2 4 / 3", "--json"], "_value errors rsk textio uncrowded words"),
+    (["rsk", "3 1 2", "--json"], "_value errors permutation rsk textio"),
+    (["run", "3 1 2", "--json"], "_value errors permutation runstat textio words"),
+    (["rho", "3 1 2", "--json"], "_value errors permutation runstat textio words"),
+    (["ulam", "3 1 2", "--json"], "_value errors permutation runstat textio words"),
+    (["heap", "3 1 2", "--json"], "_value errors permutation textio words"),
+    (["words", "3 1 2", "--json"], "_value errors permutation textio words"),
+    (["canonical", "3 1 2", "--json"], "_value canonical errors permutation rsk textio words"),
+    (
+        ["canonical", "--from-word", "2 1", "--json"],
+        "_value canonical errors permutation rsk textio words",
+    ),
+    (
+        ["uncrowded", "realize", "1 3", "--degree", "5", "--json"],
+        "_value canonical errors permutation textio uncrowded words",
+    ),
+]
 
 
 def fresh_lines(*args):
@@ -79,22 +109,33 @@ def test_import_loads_no_submodule():
     assert lines == ["[]"]
 
 
-@pytest.mark.parametrize(
-    "argv, modules",
-    [
-        (["uncrowded", "set", "1 3 5", "--json"], "errors textio uncrowded"),
-        (["count", "5", "--json"], "errors uncrowded"),
-    ],
-)
+@pytest.mark.parametrize("argv, modules", CALLS)
 @pytest.mark.parametrize("no_site", [False, True])
 def test_uncrowded_calls_load_only_what_they_run(argv, modules, no_site):
+    # every subcommand, despite the name, which the first two cases had alone
     flags = ["-S"] if no_site else []
     *output, last = fresh_lines(*flags, "-c", CLI_MODULES, *argv)
-    loaded, dataclasses_loaded = last.rsplit(" ", 1)
+    loaded, dataclasses_loaded, inspect_loaded = last.rsplit(" ", 2)
     assert loaded.split() == ["boolrsk"] + [f"boolrsk.{m}" for m in modules.split()]
     assert output[0] == "{"
     if no_site:
-        assert dataclasses_loaded == "False"
+        assert dataclasses_loaded == inspect_loaded == str("canonical" in modules.split())
+
+
+def test_only_canonical_imports_dataclasses():
+    package = pathlib.Path(boolrsk.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importers.add(path.name)
+    assert importers == {"canonical.py"}
 
 
 class TestPublicApi:
