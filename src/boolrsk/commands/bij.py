@@ -1,0 +1,24 @@
+"""``boolrsk bij``: the bijection between binary words and uncrowded tableaux."""
+
+from ..textio import format_tableau, parse_binary_word, parse_tableau, space_separated
+from ..uncrowded import binary_word_from_tableau, tableau_from_binary_word
+from . import _tableau_payload
+
+
+def run(args):
+    if args["direction"] == "f":
+        word = parse_binary_word(args["value"])
+        tableau = tableau_from_binary_word(word)
+        lines = [f"x = {word}", "T:", format_tableau(tableau)]
+        return {"direction": "f", "input": str(word)}, {"rows": _tableau_payload(tableau)}, lines
+    # direction g: value is inline rows ("a b / c d") or a file path
+    text = args["value"]
+    try:
+        with open(text, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError:
+        pass
+    tableau = parse_tableau(text)
+    word = binary_word_from_tableau(tableau)
+    head = {"direction": "g", "input": " / ".join(space_separated(row) for row in tableau.rows)}
+    return head, {"word": str(word)}, ["T:", format_tableau(tableau), f"x = {word}"]

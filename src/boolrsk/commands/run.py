@@ -1,0 +1,23 @@
+"""``boolrsk run``: the run statistic and an optimal run word."""
+
+from ..runstat import optimal_run_word, run_statistic
+from ..textio import format_run_word
+
+
+def run(w):
+    runs = optimal_run_word(w)
+    statistic = run_statistic(w)
+    lis = len(w.lex_least_lis())
+    result = {
+        "n": w.n,
+        "lis": lis,
+        "run": statistic,
+        "optimal_run_word": [list(run.letters) for run in runs],
+    }
+    lines = [
+        f"n = {w.n}",
+        f"longest increasing subsequence length = {lis}",
+        f"run statistic = {statistic}",
+        f"optimal run word = {format_run_word(runs)}",
+    ]
+    return result, lines

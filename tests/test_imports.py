@@ -25,6 +25,10 @@ LIBRARY_MODULES = [
     "uncrowded",
     "words",
 ]
+COMMAND_MODULES = ["commands"] + [
+    f"commands.{name}"
+    for name in ("bij", "canonical", "count", "heap", "rho", "rsk", "run", "ulam", "uncrowded", "words")
+]
 
 PUBLIC_NAMES = [
     "BinaryWord", "CanonicalWord", "CrowdedError", "DegreeLimitError", "DomainError", "Heap",
@@ -45,8 +49,10 @@ SUBMODULE_NAMES = ["canonical", "errors", "permutation", "runstat", "uncrowded",
 SUBCOMMANDS = "rsk,canonical,run,rho,ulam,heap,words,uncrowded,count,bij,selftest"
 
 # Runs `python -m boolrsk.cli ARGV`, then prints the loaded boolrsk modules
-# and whether dataclasses and inspect were loaded, as the last line.
-CLI_MODULES = """
+# and whether dataclasses, inspect, argparse, gettext and locale were loaded,
+# as the last line.
+STDLIB_PROBED = ("dataclasses", "inspect", "argparse", "gettext", "locale")
+CLI_MODULES = f"STDLIB_PROBED = {STDLIB_PROBED}" + """
 import runpy, sys
 sys.argv = ["boolrsk"] + sys.argv[1:]
 try:
@@ -54,11 +60,12 @@ try:
 except SystemExit:
     pass
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "boolrsk")
-print(" ".join(loaded), "dataclasses" in sys.modules, "inspect" in sys.modules)
+print(" ".join(loaded), *(m in sys.modules for m in STDLIB_PROBED))
 """
 
-# Each subcommand form with the boolrsk modules it loads, in sorted order.  A
-# call loads ``canonical`` exactly when it builds a CanonicalWord, the one
+# Each subcommand form with the library modules it loads, in sorted order; it
+# also loads the handler package ``commands`` and its own ``commands.<name>``.
+# A call loads ``canonical`` exactly when it builds a CanonicalWord, the one
 # dataclass, and only then loads dataclasses and inspect.
 CALLS = [
     (["uncrowded", "set", "1 3 5", "--json"], "errors textio uncrowded"),
@@ -90,7 +97,7 @@ def fresh_lines(*args):
     return done.stdout.strip().splitlines()
 
 
-@pytest.mark.parametrize("module", LIBRARY_MODULES)
+@pytest.mark.parametrize("module", LIBRARY_MODULES + COMMAND_MODULES)
 def test_module_imports_first_and_alone(module):
     done = run_python_fresh("-c", f"import boolrsk.{module}")
     assert done.returncode == 0, done.stderr
@@ -115,11 +122,13 @@ def test_uncrowded_calls_load_only_what_they_run(argv, modules, no_site):
     # every subcommand, despite the name, which the first two cases had alone
     flags = ["-S"] if no_site else []
     *output, last = fresh_lines(*flags, "-c", CLI_MODULES, *argv)
-    loaded, dataclasses_loaded, inspect_loaded = last.rsplit(" ", 2)
-    assert loaded.split() == ["boolrsk"] + [f"boolrsk.{m}" for m in modules.split()]
+    loaded, dataclasses_loaded, inspect_loaded, *parser_modules = last.rsplit(" ", 5)
+    modules = sorted([*modules.split(), "commands", f"commands.{argv[0]}"])
+    assert loaded.split() == ["boolrsk"] + [f"boolrsk.{m}" for m in modules]
     assert output[0] == "{"
     if no_site:
-        assert dataclasses_loaded == inspect_loaded == str("canonical" in modules.split())
+        assert dataclasses_loaded == inspect_loaded == str("canonical" in modules)
+    assert parser_modules == ["False"] * 3  # no argparse, gettext or locale
 
 
 def test_only_canonical_imports_dataclasses():
@@ -136,6 +145,34 @@ def test_only_canonical_imports_dataclasses():
             if any(name.split(".")[0] == "dataclasses" for name in names):
                 importers.add(path.name)
     assert importers == {"canonical.py"}
+
+
+def imported_modules(path):
+    """The absolute names of the modules a file of the package imports; a
+    ``from package import name`` counts as importing package.name too."""
+    package = ["boolrsk", *path.parent.relative_to(pathlib.Path(boolrsk.__file__).parent).parts]
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) + 1 - node.level] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_no_module_imports_argparse_and_no_handler_imports_cli():
+    package = pathlib.Path(boolrsk.__file__).parent
+    # relative imports resolve, from the package and from the handler package
+    assert {"boolrsk.commands", "boolrsk.errors"} <= imported_modules(package / "cli.py")
+    assert {"boolrsk.commands", "boolrsk.rsk"} <= imported_modules(package / "commands" / "rsk.py")
+    for path in package.rglob("*.py"):
+        modules = imported_modules(path)
+        assert not any(m.split(".")[0] == "argparse" for m in modules), path
+        if path.parent.name == "commands":
+            assert not any(m.split(".")[:2] == ["boolrsk", "cli"] for m in modules), path
 
 
 class TestPublicApi:
