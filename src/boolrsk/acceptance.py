@@ -24,7 +24,7 @@ from importlib import resources
 from ._value import Value
 from .canonical import CanonicalWord, canonical_from_heap, canonical_from_word
 from .errors import DegreeLimitError
-from .permutation import Permutation, all_permutations
+from .permutation import Permutation, all_permutations, boolean_permutations
 from .rsk import StandardTableau, row2_from_canonical, rsk, shape_of
 from .runstat import run_statistic, run_step
 from .uncrowded import (
@@ -44,7 +44,7 @@ BRUTE_FORCE_DEGREE_LIMIT = 6
 
 @lru_cache(maxsize=None)
 def boolean_permutations_cached(n: int) -> tuple[Permutation, ...]:
-    return tuple(w for w in all_permutations(n) if w.is_boolean())
+    return tuple(boolean_permutations(n))
 
 
 def lis_length_patience(values: Sequence[int]) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, NotBooleanError
-from .words import Heap, RunWord, Word, _heap_of_word, evaluate, is_reduced
+from .words import Heap, RunWord, Word, _heap_of_word, evaluate
 
 
 # The one dataclass value type: the benchmark smoke test calls dataclasses.replace on it.
@@ -106,17 +106,16 @@ def canonical_from_word(word: Word) -> CanonicalWord:
     """Build the canonical word from an arbitrary reduced word of a boolean
     permutation.
 
-    The word's letters are distinct, so it fixes the order of every pair of
-    consecutive letters: that is the heap, which the heap scan then reads.
-    The result does not depend on which reduced word was supplied.
+    Distinct letters always make a reduced word of a boolean permutation, and
+    fix the order of every pair of consecutive letters: that is the heap,
+    which the heap scan then reads.  The result does not depend on which
+    reduced word was supplied.
     """
-    if not is_reduced(word):
-        raise DomainError(f"word {word.letters} is not reduced")
     if len(set(word.letters)) != len(word.letters):
-        # a reduced word with a repeated letter cannot come from a boolean permutation
-        witness = evaluate(word).boolean_witness()
-        assert witness is not None
-        raise NotBooleanError(*witness)
+        w = evaluate(word)
+        if len(word) != w.length():
+            raise DomainError(f"word {word.letters} is not reduced")
+        raise NotBooleanError(*w.boolean_witness())
     return canonical_from_heap(_heap_of_word(word))
 
 

@@ -10,7 +10,6 @@ internal error or a closed output pipe.  Every failure is one ``error:`` line on
 from __future__ import annotations
 
 import importlib
-import json
 import os
 import sys
 
@@ -151,6 +150,10 @@ def _run(argv: list[str]) -> int:
         if command == "selftest":
             from . import acceptance
 
+            known = [criterion.number for criterion in acceptance.CRITERIA]
+            for number in args["criteria"]:
+                if number not in known:
+                    raise ParseError(f"no criterion {number}; choose from {known[0]}..{known[-1]}")
             return 0 if acceptance.run(args["criteria"] or None, out=sys.stdout) else 1
         handler = importlib.import_module(f"boolrsk.commands.{command}").run
         if "perm" in args:
@@ -166,6 +169,8 @@ def _run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ParseError) else 1
     if args["json"]:
+        import json  # here, so plain calls load no JSON decoder
+
         envelope = {"command": command, **head, "format": "json", "result": result}
         print(json.dumps(envelope, indent=2))
     else:

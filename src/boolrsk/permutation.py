@@ -186,8 +186,9 @@ class Permutation(Value):
             raise ValueError(f"pattern degree {sigma.n} exceeds permutation degree {self.n}")
         return self._pattern_witness(sigma.entries) is not None
 
-    def _contains_321(self) -> bool:
-        # some value with a larger one on its left and a smaller one on its right
+    def is_fully_commutative(self) -> bool:
+        """True when w avoids 321; its reduced words then form one commutation class."""
+        # a 321 is a value with a larger one on its left and a smaller one on its right
         w = self.entries
         n = self.n
         suffix_min = [0] * (n + 1)
@@ -197,14 +198,10 @@ class Permutation(Value):
         prefix_max = 0
         for i in range(n):
             if prefix_max > w[i] > suffix_min[i + 1]:
-                return True
+                return False
             if w[i] > prefix_max:
                 prefix_max = w[i]
-        return False
-
-    def is_fully_commutative(self) -> bool:
-        """True when w avoids 321; its reduced words then form one commutation class."""
-        return not self._contains_321()
+        return True
 
     def is_boolean(self) -> bool:
         """True when w avoids both 321 and 3412, i.e. some (hence every) reduced
@@ -227,7 +224,7 @@ class Permutation(Value):
         """
         if self.is_boolean():
             return None
-        if self._contains_321():
+        if not self.is_fully_commutative():
             return ("321", self._pattern_witness(_PATTERN_321))
         return ("3412", self._pattern_witness(_PATTERN_3412))
 

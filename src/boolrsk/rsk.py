@@ -12,6 +12,7 @@ recording tableau.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Sequence
 
 from ._value import Value
 
@@ -53,7 +54,7 @@ class StandardTableau(Value):
 
     _fields = ("rows",)
 
-    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, rows: Sequence[Sequence[int]]) -> None:
         object.__setattr__(self, "rows", tuple(tuple(row) for row in rows))
         if not self.rows or not all(self.rows):
             raise ValueError("rows must be nonempty")
@@ -133,15 +134,14 @@ def rsk(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
         if r == len(q_rows):
             q_rows.append([])
         q_rows[r].append(step)
-    make = lambda rows: StandardTableau(tuple(tuple(row) for row in rows))
-    return make(p_rows), make(q_rows)
+    return StandardTableau(p_rows), StandardTableau(q_rows)
 
 
 def partial_insertion(w: Permutation, i: int) -> StandardTableau:
     """The insertion tableau of the prefix w(1), ..., w(i)."""
     if not 1 <= i <= w.n:
         raise ValueError(f"prefix length {i} out of range 1..{w.n}")
-    return StandardTableau(tuple(tuple(row) for row in _insert(w.entries[:i])))
+    return StandardTableau(_insert(w.entries[:i]))
 
 
 def shape_of(w: Permutation) -> Shape:

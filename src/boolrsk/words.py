@@ -17,7 +17,6 @@ from collections.abc import Iterator
 from ._value import Value
 from .errors import DegreeLimitError, DomainError
 
-# all_reduced_words / commutation_class explode factorially past desk scale
 ENUMERATION_DEGREE_LIMIT = 9
 
 
@@ -268,16 +267,41 @@ def linear_extensions(heap: Heap) -> Iterator[Word]:
         k += 1
 
 
-def _word_moves(letters: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Words one commutation or braid move away."""
+def _word_moves(letters: tuple[int, ...], braids: bool = True) -> Iterator[tuple[int, ...]]:
+    """Words one commutation move away and, with ``braids``, one braid move away."""
     for i in range(len(letters) - 1):
         a, b = letters[i], letters[i + 1]
         if abs(a - b) > 1:
             yield letters[:i] + (b, a) + letters[i + 2 :]
+    if not braids:
+        return
     for i in range(len(letters) - 2):
         a, b, c = letters[i], letters[i + 1], letters[i + 2]
         if a == c and abs(a - b) == 1:
             yield letters[:i] + (b, a, b) + letters[i + 3 :]
+
+
+def _require_enumerable(n: int) -> None:
+    """Refuse degrees past ENUMERATION_DEGREE_LIMIT, where enumerations explode factorially."""
+    if n > ENUMERATION_DEGREE_LIMIT:
+        raise DegreeLimitError(
+            f"degree {n} exceeds the enumeration limit {ENUMERATION_DEGREE_LIMIT}"
+        )
+
+
+def _closure(word: Word, braids: bool) -> list[Word]:
+    """Every word reached from ``word`` by ``_word_moves``, sorted lexicographically."""
+    seen = {word.letters}
+    frontier = [word.letters]
+    while frontier:
+        fresh = []
+        for letters in frontier:
+            for other in _word_moves(letters, braids):
+                if other not in seen:
+                    seen.add(other)
+                    fresh.append(other)
+        frontier = fresh
+    return [Word(letters, word.n) for letters in sorted(seen)]
 
 
 def all_reduced_words(w: Permutation) -> list[Word]:
@@ -287,45 +311,16 @@ def all_reduced_words(w: Permutation) -> list[Word]:
     commutation and braid moves starting from one reduced word.  Guarded to
     small degrees, since |R(w)| grows factorially.
     """
-    if w.n > ENUMERATION_DEGREE_LIMIT:
-        raise DegreeLimitError(
-            f"degree {w.n} exceeds the enumeration limit {ENUMERATION_DEGREE_LIMIT}"
-        )
+    _require_enumerable(w.n)
     if w.is_boolean():
         return list(linear_extensions(heap_of(w)))
-    seen = {reduced_word_of(w).letters}
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for letters in frontier:
-            for other in _word_moves(letters):
-                if other not in seen:
-                    seen.add(other)
-                    fresh.append(other)
-        frontier = fresh
-    return [Word(letters, w.n) for letters in sorted(seen)]
+    return _closure(reduced_word_of(w), braids=True)
 
 
 def commutation_class(word: Word) -> list[Word]:
     """The closure of a reduced word under swaps of adjacent commuting letters,
     sorted lexicographically."""
-    if word.n > ENUMERATION_DEGREE_LIMIT:
-        raise DegreeLimitError(
-            f"degree {word.n} exceeds the enumeration limit {ENUMERATION_DEGREE_LIMIT}"
-        )
+    _require_enumerable(word.n)
     if not is_reduced(word):
         raise DomainError(f"word {word.letters} is not reduced")
-    seen = {word.letters}
-    frontier = [word.letters]
-    while frontier:
-        fresh = []
-        for letters in frontier:
-            for i in range(len(letters) - 1):
-                a, b = letters[i], letters[i + 1]
-                if abs(a - b) > 1:
-                    other = letters[:i] + (b, a) + letters[i + 2 :]
-                    if other not in seen:
-                        seen.add(other)
-                        fresh.append(other)
-        frontier = fresh
-    return [Word(letters, word.n) for letters in sorted(seen)]
+    return _closure(word, braids=False)

@@ -11,7 +11,9 @@ count of odd-block binary words, the element-by-window crowding scan, the
 recursive construction of a canonical word from its leftmost letters, the
 window-by-window decoding of a tableau's binary word, the quadratic DP for
 the least longest increasing subsequence, the min-and-rebuild heap scan for
-the canonical word and the recursive enumeration of linear extensions.
+the canonical word, the recursive enumeration of linear extensions, and the
+step list and the multiplication by reversed runs behind optimal run words
+and Ulam moves.
 """
 
 import itertools
@@ -314,3 +316,57 @@ def linear_extensions_recursive(heap):
                 placed.remove(e)
 
     return emit()
+
+
+def optimal_run_word_by_insertion(w):
+    """An optimal run word from the whole list of step-map steps, undone last
+    step first: a right step's reversed run goes to the right end, a left
+    step's to the front."""
+    from boolrsk import run_step
+
+    steps = []
+    u = w
+    while not u.is_identity():
+        steps.append(run_step(u))
+        u = steps[-1].result
+    runs = []
+    for step in reversed(steps):
+        if step.side == "right":
+            runs.append(step.run.reversed())
+        else:
+            runs.insert(0, step.run.reversed())
+    return tuple(runs)
+
+
+def moves_from_runs_by_words(w, runs):
+    """The (UlamMove, state) pairs of an optimal run word's runs read right to
+    left, each state the product of the previous one and the reversed run."""
+    from boolrsk import UlamMove
+
+    out = []
+    u = w
+    for run in reversed(runs):
+        letters = run.letters[::-1]
+        if letters[0] <= letters[-1]:
+            a, b = letters[0], letters[-1]
+            move = UlamMove(a, u(b + 1))
+        else:
+            b, a = letters[0], letters[-1]
+            move = UlamMove(b + 1, u(a - 1) if a > 1 else None)
+        u = u.apply_word(letters, "right")
+        out.append((move, u))
+    return out
+
+
+def canonical_from_word_checked(word):
+    """canonical_from_word with both checks made in full up front: the word
+    must be reduced, then its permutation boolean, by the pattern search."""
+    from boolrsk import DomainError, NotBooleanError, canonical_from_heap, evaluate, heap_of
+
+    w = evaluate(word)
+    if len(word) != length_pairwise(w.entries):
+        raise DomainError(f"word {word.letters} is not reduced")
+    witness = boolean_witness_by_patterns(w.entries)
+    if witness is not None:
+        raise NotBooleanError(*witness)
+    return canonical_from_heap(heap_of(w))

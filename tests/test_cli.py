@@ -209,6 +209,8 @@ def test_every_error_is_one_line_and_exit_one_or_two(argv, fresh, form):
         ("rsk", "1 2", "3"),
         ("uncrowded", "bogus", "1 2"),
         ("selftest", "x"),
+        ("selftest", "99"),
+        ("selftest", "--", "-1"),
     ],
     ids=lambda argv: " ".join(argv) or "no arguments",
 )
@@ -301,6 +303,22 @@ class TestPlainOutput:
         code, out, _ = run_cli("bij", "g", str(path))
         assert code == 0
         assert "x = 10010101111101110" in out
+
+    def test_bij_reads_no_fifo(self, tmp_path):
+        # a FIFO is not a regular file, so its path is parsed as tableau rows;
+        # opening it would wait for a writer forever
+        path = tmp_path / "rows"
+        os.mkfifo(path)
+        done = run_cli_fresh("bij", "g", str(path))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+    def test_bij_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "tableau.txt"
+        path.write_bytes(b"\xff1 2\n3\n")
+        assert run_cli("bij", "g", str(path)) == (
+            2, "", f"error: file {str(path)!r} is not UTF-8 text (byte 0)\n"
+        )
 
     def test_words_listing(self):
         _, out, _ = run_cli("words", "3 1 4 5 6 9 2 7 8")

@@ -1,8 +1,9 @@
 """The fast boolean test, inversion count, reduced word, crowding check,
 realization, word enumeration, canonical word, binary-word decoding, least
-longest increasing subsequence, linear extensions and pattern search against
-the slow paths they replaced, plus guards against a return to a cubic,
-quadratic or span-bound cost and to recursion that grows with the input."""
+longest increasing subsequence, linear extensions, pattern search, optimal
+run word and Ulam moves against the slow paths they replaced, plus guards
+against a return to a cubic, quadratic or span-bound cost and to recursion
+that grows with the input."""
 
 import itertools
 import random
@@ -12,6 +13,7 @@ import pytest
 
 from boolrsk import (
     BinaryWord,
+    DomainError,
     Heap,
     NotBooleanError,
     Permutation,
@@ -28,23 +30,29 @@ from boolrsk import (
     is_uncrowded,
     linear_extensions,
     odd_run_words,
+    optimal_run_word,
     realize_leftmost_letters,
     reduced_word_of,
     run_step,
     tableau_from_binary_word,
+    ulam_sort,
 )
 from boolrsk.acceptance import canonical_by_peeling
+from boolrsk.runstat import _moves_from_runs
 
 from oracles import (
     binary_word_by_windows,
     boolean_witness_by_patterns,
     canonical_from_heap_by_min,
+    canonical_from_word_checked,
     crowding_witness_scan,
     length_pairwise,
     lex_least_lis_dp,
     linear_extensions_recursive,
+    moves_from_runs_by_words,
     odd_block_word_list,
     odd_block_words,
+    optimal_run_word_by_insertion,
     pattern_witness_backtracking,
     realize_by_recursion,
     reduced_word_by_leftmost_descent,
@@ -351,3 +359,57 @@ class TestPatternWitness:
     def test_pattern_of_length_1500_in_identity_of_degree_3000(self):
         # one stack entry per matched position, past the recursion limit
         assert identity(3000).contains_pattern(identity(1500))
+
+
+def assert_run_word_and_moves_match_slow_paths(w, check_ulam_sort=True):
+    """``check_ulam_sort=False`` skips ``ulam_sort``, which runs the step map
+    once more to repeat the moves already compared."""
+    runs = optimal_run_word(w)
+    assert runs == optimal_run_word_by_insertion(w), w
+    steps = list(_moves_from_runs(w, runs))
+    assert steps == moves_from_runs_by_words(w, runs), w
+    if check_ulam_sort:
+        assert ulam_sort(w) == tuple(move for move, _ in steps)
+
+
+class TestRunWordAndUlamMoves:
+    def test_exhaustive_small_groups(self):
+        for n in range(1, 9):
+            for w in all_permutations(n):
+                assert_run_word_and_moves_match_slow_paths(w, n < 8)
+
+    def test_random_degrees_50_to_300(self):
+        rng = random.Random(3301)
+        for _ in range(20):
+            w = random_permutation(rng, rng.randint(50, 300))
+            assert_run_word_and_moves_match_slow_paths(w)
+
+    def test_near_sorted_degrees_50_to_300(self):
+        rng = random.Random(7417)
+        for _ in range(40):
+            w = near_sorted_permutation(rng, rng.randint(50, 300), rng.randint(1, 6))
+            assert_run_word_and_moves_match_slow_paths(w)
+
+
+def outcome(function, word):
+    """The result of ``function(word)``, or the type and message of its DomainError."""
+    try:
+        return function(word)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+class TestCanonicalFromWord:
+    def test_distinct_letters_make_a_reduced_word_up_to_degree_7(self):
+        # canonical_from_word skips the reducedness check for such words
+        for n in range(1, 8):
+            for k in range(n):
+                for letters in itertools.permutations(range(1, n), k):
+                    assert length_pairwise(evaluate(Word(letters, n)).entries) == k, letters
+
+    def test_every_word_of_length_at_most_5_in_degree_5(self):
+        for k in range(6):
+            for letters in itertools.product(range(1, 5), repeat=k):
+                word = Word(letters, 5)
+                expected = outcome(canonical_from_word_checked, word)
+                assert outcome(canonical_from_word, word) == expected, letters

@@ -49,9 +49,9 @@ SUBMODULE_NAMES = ["canonical", "errors", "permutation", "runstat", "uncrowded",
 SUBCOMMANDS = "rsk,canonical,run,rho,ulam,heap,words,uncrowded,count,bij,selftest"
 
 # Runs `python -m boolrsk.cli ARGV`, then prints the loaded boolrsk modules
-# and whether dataclasses, inspect, argparse, gettext and locale were loaded,
-# as the last line.
-STDLIB_PROBED = ("dataclasses", "inspect", "argparse", "gettext", "locale")
+# and whether dataclasses, inspect, argparse, gettext, locale and json were
+# loaded, as the last line.
+STDLIB_PROBED = ("dataclasses", "inspect", "argparse", "gettext", "locale", "json")
 CLI_MODULES = f"STDLIB_PROBED = {STDLIB_PROBED}" + """
 import runpy, sys
 sys.argv = ["boolrsk"] + sys.argv[1:]
@@ -122,13 +122,24 @@ def test_uncrowded_calls_load_only_what_they_run(argv, modules, no_site):
     # every subcommand, despite the name, which the first two cases had alone
     flags = ["-S"] if no_site else []
     *output, last = fresh_lines(*flags, "-c", CLI_MODULES, *argv)
-    loaded, dataclasses_loaded, inspect_loaded, *parser_modules = last.rsplit(" ", 5)
+    loaded, dataclasses_loaded, inspect_loaded, *parser_modules, json_loaded = last.rsplit(" ", 6)
     modules = sorted([*modules.split(), "commands", f"commands.{argv[0]}"])
     assert loaded.split() == ["boolrsk"] + [f"boolrsk.{m}" for m in modules]
     assert output[0] == "{"
     if no_site:
         assert dataclasses_loaded == inspect_loaded == str("canonical" in modules)
     assert parser_modules == ["False"] * 3  # no argparse, gettext or locale
+    assert json_loaded == "True"  # every call here prints a JSON envelope
+
+
+def test_only_a_json_envelope_loads_json():
+    # the import, a plain call and a failing one write no JSON
+    assert fresh_lines("-S", "-c", "import sys, boolrsk.cli; print('json' in sys.modules)") == [
+        "False"
+    ]
+    for argv in (["count", "5"], ["count", "0"], ["count", "0", "--json"]):
+        *_, last = fresh_lines("-S", "-c", CLI_MODULES, *argv)
+        assert last.endswith(" False"), argv
 
 
 def test_only_canonical_imports_dataclasses():

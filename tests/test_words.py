@@ -197,6 +197,13 @@ class TestCommutationClass:
                 }
                 assert one_class == whole
 
+    def test_one_class_exactly_when_fully_commutative(self):
+        # a 321 in w allows a braid move, which leaves the commutation class
+        for n in range(1, 6):
+            for w in all_permutations(n):
+                whole = all_reduced_words(w)
+                assert (commutation_class(whole[0]) == whole) == w.is_fully_commutative(), w
+
 
 class TestHeap:
     def test_cover_relations_of_314569278(self):
