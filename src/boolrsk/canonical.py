@@ -10,6 +10,7 @@ rows of both RSK tableaux, which is what makes it worth singling out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt, lt
 
 from .errors import DomainError, NotBooleanError
 from .words import Heap, RunWord, Word, _heap_of_word, evaluate
@@ -30,26 +31,33 @@ class CanonicalWord:
     n: int
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for run in self.dec_runs + self.inc_runs:
-            for a in run.letters:
-                if not 1 <= a <= self.n - 1:
-                    raise ValueError(f"letter {a} out of range 1..{self.n - 1}")
+        # Checks in C-level passes; a loop runs only to name the first violation.
+        # A run's least and greatest letters are its two ends.
+        n = self.n
+        letters = [a for run in self.dec_runs + self.inc_runs for a in run.letters]
+        distinct = set(letters)
+        if len(distinct) < len(letters) or not distinct <= set(range(1, n)):
+            seen: set[int] = set()
+            for a in letters:
+                if not 1 <= a <= n - 1:
+                    raise ValueError(f"letter {a} out of range 1..{n - 1}")
                 if a in seen:
                     raise ValueError(f"letter {a} repeated across runs")
                 seen.add(a)
-        for run in self.dec_runs:
-            if run.direction == "increasing":
-                raise ValueError(f"increasing run {run.letters} in the decreasing list")
-        for run in self.inc_runs:
-            if run.direction != "increasing":
-                raise ValueError(f"run {run.letters} in the increasing list must ascend")
-        for left, right in zip(self.dec_runs, self.dec_runs[1:]):
-            if max(left.letters) > min(right.letters):
-                raise ValueError("decreasing runs must be ordered smaller letters first")
-        for left, right in zip(self.inc_runs, self.inc_runs[1:]):
-            if min(left.letters) < max(right.letters):
-                raise ValueError("increasing runs must be ordered larger letters first")
+        dec_first = [run.letters[0] for run in self.dec_runs]
+        dec_last = [run.letters[-1] for run in self.dec_runs]
+        if any(map(lt, dec_first, dec_last)):
+            run = next(run for run in self.dec_runs if run.first < run.last)
+            raise ValueError(f"increasing run {run.letters} in the decreasing list")
+        inc_first = [run.letters[0] for run in self.inc_runs]
+        inc_last = [run.letters[-1] for run in self.inc_runs]
+        if not all(map(lt, inc_first, inc_last)):
+            run = next(run for run in self.inc_runs if not run.first < run.last)
+            raise ValueError(f"run {run.letters} in the increasing list must ascend")
+        if any(map(gt, dec_first, dec_last[1:])):
+            raise ValueError("decreasing runs must be ordered smaller letters first")
+        if any(map(lt, inc_first, inc_last[1:])):
+            raise ValueError("increasing runs must be ordered larger letters first")
 
     @property
     def runs(self) -> tuple[RunWord, ...]:
@@ -76,25 +84,25 @@ def canonical_from_heap(heap: Heap) -> CanonicalWord:
     right to the first maximal element b and prepend the increasing run a..b.
     Skip the consumed interval and repeat.  The consumed elements are always
     the least ones left, so one ascending sweep over the sorted elements
-    visits each once: O(n log n).
+    visits each once: O(n log n).  Both letters of a cover are elements.
     """
-    elements = sorted(heap.elements)
+    elements, covers = heap.elements, heap.covers
+    ordered = sorted(elements)
     dec: list[RunWord] = []
     inc: list[RunWord] = []
     i = 0
-    while i < len(elements):
-        a = elements[i]
-        b = a
-        if a + 1 not in heap.elements:
+    while i < len(ordered):
+        a = b = ordered[i]
+        if a + 1 not in elements:
             dec.append(RunWord((a,)))
-        elif heap.precedes(a + 1, a):
+        elif (a + 1, a) in covers:
             b = a + 1
-            while b + 1 in heap.elements and heap.precedes(b + 1, b):
+            while (b + 1, b) in covers:
                 b += 1
             dec.append(RunWord(tuple(range(b, a - 1, -1))))
         else:
             b = a + 1
-            while b + 1 in heap.elements and heap.precedes(b, b + 1):
+            while (b, b + 1) in covers:
                 b += 1
             inc.append(RunWord(tuple(range(a, b + 1))))
         i += b - a + 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Sequence
+from operator import le
 
 from ._value import Value
 
@@ -61,13 +62,12 @@ class StandardTableau(Value):
         for upper, lower in zip(self.rows, self.rows[1:]):
             if len(lower) > len(upper):
                 raise ValueError("row lengths must weakly decrease")
-            for a, b in zip(upper, lower):
-                if b <= a:
-                    raise ValueError(f"column not increasing: {a} above {b}")
+            if any(map(le, lower, upper)):
+                a, b = next((a, b) for a, b in zip(upper, lower) if b <= a)
+                raise ValueError(f"column not increasing: {a} above {b}")
         for row in self.rows:
-            for a, b in zip(row, row[1:]):
-                if b <= a:
-                    raise ValueError(f"row not increasing: {row}")
+            if any(map(le, row[1:], row)):
+                raise ValueError(f"row not increasing: {row}")
         entries = [v for row in self.rows for v in row]
         if len(set(entries)) != len(entries):
             raise ValueError("entries must be distinct")

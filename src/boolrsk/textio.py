@@ -26,15 +26,16 @@ def parse_permutation(text: str) -> Permutation:
     values = parse_int_list(text)
     if not values:
         raise ParseError("empty permutation")
-    n = len(values)
-    seen: dict[int, int] = {}
-    for pos, v in enumerate(values, start=1):
-        if not 1 <= v <= n:
-            raise ParseError(f"value {v} out of range 1..{n}", position=pos)
-        if v in seen:
-            raise ParseError(f"duplicate value {v}", position=pos)
-        seen[v] = pos
-    return Permutation(tuple(values))
+    try:
+        return Permutation(tuple(values))
+    except ValueError as exc:
+        # the message names the first value out of range or repeated; find its token
+        seen: set[int] = set()
+        for pos, v in enumerate(values, start=1):
+            if not 1 <= v <= len(values) or v in seen:
+                raise ParseError(str(exc), position=pos) from None
+            seen.add(v)
+        raise
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -83,7 +84,7 @@ def format_flat_word(letters: Sequence[int]) -> str:
 
 
 def format_run_word(runs: Iterable[RunWord]) -> str:
-    pieces = ["".join(format_letter(a) for a in run.letters) for run in runs]
+    pieces = ["".join(map(format_letter, run.letters)) for run in runs]
     return "[" + "·".join(pieces) + "]"
 
 

@@ -40,7 +40,8 @@ def crowding_witness(values: Iterable[int]) -> tuple[int, int, int] | None:
         f = elements[i] - 2 * i
         if lowest <= f - 2:
             first = i
-        lowest = min(lowest, f)
+        elif f < lowest:
+            lowest = f
     if first is None:
         return None
     y = elements[first]

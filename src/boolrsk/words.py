@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections.abc import Iterator
+from operator import sub
 
 from ._value import Value
 from .errors import DegreeLimitError, DomainError
 
 ENUMERATION_DEGREE_LIMIT = 9
+_RUN_STEPS = (frozenset({1}), frozenset({-1}))  # the steps a run of two or more letters may take
 
 
 class Word(Value):
@@ -50,12 +52,12 @@ class RunWord(Value):
     _fields = ("letters",)
 
     def __init__(self, letters: tuple[int, ...]) -> None:
-        object.__setattr__(self, "letters", tuple(letters))
-        if not self.letters:
+        letters = tuple(letters)
+        object.__setattr__(self, "letters", letters)
+        if not letters:
             raise ValueError("run must be nonempty")
-        steps = {b - a for a, b in zip(self.letters, self.letters[1:])}
-        if steps and steps != {1} and steps != {-1}:
-            raise ValueError(f"not a run: {self.letters}")
+        if len(letters) > 1 and set(map(sub, letters[1:], letters)) not in _RUN_STEPS:
+            raise ValueError(f"not a run: {letters}")
 
     @property
     def direction(self) -> str:

@@ -6,7 +6,8 @@ filtering and memoized counting instead of Kahn enumeration, raw window
 scans instead of element-anchored ones, word filtering instead of move
 closures.  The slow paths that the library's fast ones replaced live here
 too: pairwise inversion counting, backtracking pattern search for the
-boolean test, leftmost-descent rescans for a reduced word, the recursive
+boolean test and its later test by inversion count, the suffix-minimum 321
+scan, leftmost-descent rescans for a reduced word, the recursive
 count of odd-block binary words, the element-by-window crowding scan, the
 recursive construction of a canonical word from its leftmost letters, the
 window-by-window decoding of a tableau's binary word, the quadratic DP for
@@ -123,6 +124,29 @@ def length_pairwise(entries):
     """Inversions by checking every pair, O(n^2)."""
     n = len(entries)
     return sum(1 for i in range(n) for j in range(i + 1, n) if entries[i] > entries[j])
+
+
+def is_boolean_by_length(w):
+    """The boolean test by inversions: every reduced word uses each support
+    letter at least once, so w is boolean exactly when l(w) = |supp(w)|."""
+    return w.length() == len(w.support())
+
+
+def avoids_321_by_suffix_min(entries):
+    """True when no entry has a larger one on its left and a smaller one on
+    its right, read off prefix maxima and suffix minima."""
+    n = len(entries)
+    suffix_min = [0] * (n + 1)
+    suffix_min[n] = n + 1
+    for i in range(n - 1, -1, -1):
+        suffix_min[i] = min(suffix_min[i + 1], entries[i])
+    prefix_max = 0
+    for i in range(n):
+        if prefix_max > entries[i] > suffix_min[i + 1]:
+            return False
+        if entries[i] > prefix_max:
+            prefix_max = entries[i]
+    return True
 
 
 def pattern_witness_backtracking(entries, pattern):

@@ -1,9 +1,9 @@
-"""The fast boolean test, inversion count, reduced word, crowding check,
-realization, word enumeration, canonical word, binary-word decoding, least
-longest increasing subsequence, linear extensions, pattern search, optimal
-run word and Ulam moves against the slow paths they replaced, plus guards
-against a return to a cubic, quadratic or span-bound cost and to recursion
-that grows with the input."""
+"""The fast boolean test, 321 scan, depth, inversion count, reduced word,
+crowding check, realization, word enumeration, canonical word, binary-word
+decoding, least longest increasing subsequence, linear extensions, pattern
+search, optimal run word and Ulam moves against the slow paths they
+replaced, plus guards against a return to a cubic, quadratic or span-bound
+cost and to recursion that grows with the input."""
 
 import itertools
 import random
@@ -41,11 +41,13 @@ from boolrsk.acceptance import canonical_by_peeling
 from boolrsk.runstat import _moves_from_runs
 
 from oracles import (
+    avoids_321_by_suffix_min,
     binary_word_by_windows,
     boolean_witness_by_patterns,
     canonical_from_heap_by_min,
     canonical_from_word_checked,
     crowding_witness_scan,
+    is_boolean_by_length,
     length_pairwise,
     lex_least_lis_dp,
     linear_extensions_recursive,
@@ -128,6 +130,63 @@ def test_random_3412_rejects_degrees_100_to_150():
         else:
             pytest.fail("no lengthening letter keeps the product 321-avoiding")
         assert_matches_slow_paths(longer, witness)
+
+
+def lengthen_within_321_avoiders(rng, w):
+    """w times s_a for a random ascent a that keeps the product 321-avoiding."""
+    ascents = [a for a in range(1, w.n) if w(a) < w(a + 1)]
+    rng.shuffle(ascents)
+    for a in ascents:
+        longer = w.apply_word((a,), "right")
+        if avoids_321_by_suffix_min(longer.entries):
+            return longer
+    pytest.fail("no lengthening letter keeps the product 321-avoiding")
+
+
+def boolean_test_cases(rng, n):
+    """(w, is boolean, avoids 321) for w of degree n: boolean ones with full
+    and partial support, a 321-avoider containing 3412, a random permutation,
+    and a boolean one followed by a 321 block, whose depth equals its support
+    size so that only the 321 scan rejects it."""
+    full = boolean_from_shuffled_letters(rng, n, range(1, n))
+    partial = boolean_from_shuffled_letters(rng, n, rng.sample(range(1, n), n // 2))
+    head = boolean_from_shuffled_letters(rng, n - 3, rng.sample(range(1, n - 3), n // 2))
+    block = Permutation(head.entries + (n, n - 1, n - 2))
+    assert block.depth() == len(block.support())
+    return [
+        (full, True, True),
+        (partial, True, True),
+        (lengthen_within_321_avoiders(rng, full), False, True),
+        (random_permutation(rng, n), False, False),
+        (block, False, False),
+    ]
+
+
+class TestBooleanByDepth:
+    """The O(n) boolean test (depth = |supp(w)| on a 321-avoider) and the
+    one-pass 321 scan against the inversion count and the suffix-minimum scan
+    they replaced."""
+
+    def test_exhaustive_small_groups(self):
+        for n in range(1, 9):
+            for w in all_permutations(n):
+                assert w.is_fully_commutative() == avoids_321_by_suffix_min(w.entries), w
+                assert w.is_boolean() == is_boolean_by_length(w), w
+
+    def test_depth_equals_length_exactly_on_321_avoiders(self):
+        for n in range(1, 8):
+            for w in all_permutations(n):
+                depth = sum(v - i for i, v in enumerate(w.entries, start=1) if v > i)
+                assert w.depth() == depth, w
+                assert (depth == w.length()) == avoids_321_by_suffix_min(w.entries), w
+
+    def test_seeded_degrees_100_to_1000(self):
+        rng = random.Random(1013)
+        for n in (100, 250, 500, 1000):
+            for w, boolean, avoids_321 in boolean_test_cases(rng, n):
+                assert w.is_boolean() == is_boolean_by_length(w) == boolean
+                assert w.is_fully_commutative() == avoids_321_by_suffix_min(w.entries)
+                assert w.is_fully_commutative() == avoids_321
 
 
 def test_degree_2000_boolean_success_path_is_fast():

@@ -12,9 +12,12 @@ import re
 import pytest
 
 from boolrsk.acceptance import Criterion
+from boolrsk.canonical import CanonicalWord
+from boolrsk.errors import ParseError
 from boolrsk.permutation import Permutation, Subsequence
 from boolrsk.rsk import Shape, StandardTableau
 from boolrsk.runstat import RunStep, UlamMove
+from boolrsk.textio import parse_permutation
 from boolrsk.words import BinaryWord, Heap, RunWord, Word
 
 # (class, field values, repr)
@@ -135,8 +138,11 @@ INVALID = [
     (Permutation, ((1, 3),), "value 3 out of range 1..2"),
     (Permutation, ((1, 1.0),), "value 1.0 out of range 1..2"),
     (Permutation, ((2, 2),), "duplicate value 2"),
+    (Permutation, ((3, 3, 4),), "duplicate value 3"),
+    (Permutation, ((1, 4, 4),), "value 4 out of range 1..3"),
     (Word, ((1,), 0), "degree must be at least 1"),
     (Word, ((1, 3), 3), "letter 3 out of range 1..2"),
+    (Word, ((6, 1, 7), 5), "letter 6 out of range 1..4"),
     (RunWord, ((),), "run must be nonempty"),
     (RunWord, ((1, 2, 1),), "not a run: (1, 2, 1)"),
     (RunWord, ((1, 3),), "not a run: (1, 3)"),
@@ -157,14 +163,71 @@ INVALID = [
     (StandardTableau, (((1, 2), (3,), (3,)),), "column not increasing: 3 above 3"),
     (StandardTableau, (((1, 2, 3), (3,)),), "entries must be distinct"),
     (StandardTableau, (((0, 1),),), "entries must be positive"),
+    (StandardTableau, (((1, 4, 5), (2, 3, 4)),), "column not increasing: 4 above 3"),
+    (StandardTableau, (((1, 2), (4, 3), (6, 5)),), "row not increasing: (4, 3)"),
+]
+
+
+def runs(*letter_tuples):
+    return tuple(RunWord(letters) for letters in letter_tuples)
+
+
+# (CanonicalWord, its fields, the ValueError message); where an input breaks a
+# rule more than once, the message names the first violation
+CANONICAL_INVALID = [
+    (CanonicalWord, (runs((5,), (7,)), (), 4), "letter 5 out of range 1..3"),
+    (CanonicalWord, (runs((2, 1)), runs((3, 4)), 4), "letter 4 out of range 1..3"),
+    (CanonicalWord, (runs((1, 0)), (), 4), "letter 0 out of range 1..3"),
+    (CanonicalWord, (runs((1,), (1,), (9,)), (), 5), "letter 1 repeated across runs"),
+    (CanonicalWord, (runs((2, 1)), runs((2, 3)), 5), "letter 2 repeated across runs"),
+    (CanonicalWord, (runs((2, 1), (4, 3)), runs((3,)), 5), "letter 3 repeated across runs"),
+    (
+        CanonicalWord,
+        (runs((3,), (1, 2), (5, 6)), (), 7),
+        "increasing run (1, 2) in the decreasing list",
+    ),
+    (
+        CanonicalWord,
+        ((), runs((6,), (5, 4), (2,)), 7),
+        "run (6,) in the increasing list must ascend",
+    ),
+    (
+        CanonicalWord,
+        (runs((3,), (1,)), (), 5),
+        "decreasing runs must be ordered smaller letters first",
+    ),
+    (
+        CanonicalWord,
+        ((), runs((1, 2), (4, 5)), 7),
+        "increasing runs must be ordered larger letters first",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "cls, values, message", INVALID, ids=[m[:40] for _, _, m in INVALID]
+    "cls, values, message",
+    INVALID + CANONICAL_INVALID,
+    ids=[m[:40] for _, _, m in INVALID + CANONICAL_INVALID],
 )
 def test_validation_messages(cls, values, message):
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         cls(*values)
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         cls(**dict(zip(field_names(cls), values)))
+
+
+# (text, the ParseError message, its token position)
+PARSE_INVALID = [
+    ("", "empty permutation", None),
+    ("1 x 3", "not an integer: 'x' (at token 2)", 2),
+    ("3 3 4", "duplicate value 3 (at token 2)", 2),
+    ("1 4 4", "value 4 out of range 1..3 (at token 2)", 2),
+    ("2, 1, 0, 0", "value 0 out of range 1..4 (at token 3)", 3),
+]
+
+
+@pytest.mark.parametrize("text, message, position", PARSE_INVALID)
+def test_parse_permutation_names_the_first_bad_token(text, message, position):
+    with pytest.raises(ParseError, match="^" + re.escape(message) + "$") as caught:
+        parse_permutation(text)
+    assert caught.value.position == position
