@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import gt, lt
 
 from .errors import DomainError, NotBooleanError
-from .words import Heap, RunWord, Word, _heap_of_word, evaluate
+from .words import Heap, RunWord, Word, evaluate
 
 
 # The one dataclass value type: the benchmark smoke test calls dataclasses.replace on it.
@@ -75,56 +75,63 @@ class CanonicalWord:
         return len(self.letters)
 
 
-def canonical_from_heap(heap: Heap) -> CanonicalWord:
-    """Build the canonical word by scanning the heap left to right.
+def _canonical_from_orientation(orient: list, n: int) -> CanonicalWord:
+    """The canonical word from ``orient[a]`` for each letter a: None when a is
+    absent, 0 when a+1 is, +1 when a comes before a+1 and -1 when after it.
 
-    Take the smallest element a.  If a+1 is absent, a is a singleton
-    decreasing run.  If a+1 lies below a, walk right to the first minimal
-    element b and append the decreasing run b..a.  If a+1 lies above a, walk
-    right to the first maximal element b and prepend the increasing run a..b.
-    Skip the consumed interval and repeat.  The consumed elements are always
-    the least ones left, so one ascending sweep over the sorted elements
-    visits each once: O(n log n).  Both letters of a cover are elements.
+    A run starts at the least letter a not yet read and goes on while the sign
+    repeats, up to the first letter b with another: the singleton a for sign
+    0, the decreasing run b..a for -1, the increasing run a..b for +1.  One
+    upward scan reads every run, O(n).
     """
-    elements, covers = heap.elements, heap.covers
-    ordered = sorted(elements)
     dec: list[RunWord] = []
     inc: list[RunWord] = []
-    i = 0
-    while i < len(ordered):
-        a = b = ordered[i]
-        if a + 1 not in elements:
-            dec.append(RunWord((a,)))
-        elif (a + 1, a) in covers:
-            b = a + 1
-            while (b + 1, b) in covers:
-                b += 1
-            dec.append(RunWord(tuple(range(b, a - 1, -1))))
+    b = 0
+    for a, s in enumerate(orient):
+        if a <= b or s is None:
+            continue
+        b = a
+        while orient[b] == s != 0:
+            b += 1
+        if s > 0:
+            inc.append(RunWord(range(a, b + 1)))
         else:
-            b = a + 1
-            while (b, b + 1) in covers:
-                b += 1
-            inc.append(RunWord(tuple(range(a, b + 1))))
-        i += b - a + 1
+            dec.append(RunWord(range(b, a - 1, -1)))
     inc.reverse()
-    return CanonicalWord(tuple(dec), tuple(inc), heap.n)
+    return CanonicalWord(tuple(dec), tuple(inc), n)
+
+
+def canonical_from_heap(heap: Heap) -> CanonicalWord:
+    """Build the canonical word by scanning the heap left to right, O(n): each
+    cover orients its lower letter, with no sort.  Both letters of a cover
+    are elements."""
+    orient: list = [None] * heap.n
+    for e in heap.elements:
+        orient[e] = 0
+    for x, y in heap.covers:
+        orient[x if x < y else y] = y - x
+    return _canonical_from_orientation(orient, heap.n)
 
 
 def canonical_from_word(word: Word) -> CanonicalWord:
     """Build the canonical word from an arbitrary reduced word of a boolean
     permutation.
 
-    Distinct letters always make a reduced word of a boolean permutation, and
-    fix the order of every pair of consecutive letters: that is the heap,
-    which the heap scan then reads.  The result does not depend on which
-    reduced word was supplied.
-    """
+    Distinct letters always make a reduced word of a boolean permutation and
+    fix the order of every pair of consecutive letters, as its heap does: the
+    orientations come from the letters' positions, with no heap built.  The
+    result does not depend on which reduced word was supplied."""
     if len(set(word.letters)) != len(word.letters):
         w = evaluate(word)
         if len(word) != w.length():
             raise DomainError(f"word {word.letters} is not reduced")
         raise NotBooleanError(*w.boolean_witness())
-    return canonical_from_heap(_heap_of_word(word))
+    position: list = [None] * (word.n + 1)
+    for i, a in enumerate(word.letters):
+        position[a] = i
+    orient = [None if p is None else 0 if q is None else 1 if p < q else -1
+              for p, q in zip(position, position[1:])]
+    return _canonical_from_orientation(orient, word.n)
 
 
 def leftmost_letters(canonical: CanonicalWord) -> frozenset[int]:

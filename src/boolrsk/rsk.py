@@ -127,12 +127,17 @@ def rsk(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
     >>> P.rows
     ((1, 2), (3, 4))
     """
-    p_rows: list[list[int]] = []
-    q_rows: list[list[int]] = []
+    p_rows: list[list[int]] = [[]]
+    q_rows: list[list[int]] = [[]]
+    row1 = p_rows[0]
     for step, value in enumerate(w.entries, start=1):
-        r = _bump(p_rows, value)
-        if r == len(q_rows):
-            q_rows.append([])
+        if row1 and value < row1[-1]:
+            r = _bump(p_rows, value)
+            if r == len(q_rows):
+                q_rows.append([])
+        else:  # the value extends row one
+            row1.append(value)
+            r = 0
         q_rows[r].append(step)
     return StandardTableau(p_rows), StandardTableau(q_rows)
 
@@ -156,8 +161,7 @@ def shape_of(w: Permutation) -> Shape:
 def row2_from_canonical(canonical: CanonicalWord) -> tuple[frozenset[int], frozenset[int]]:
     """Second rows of the insertion and recording tableaux, read directly off
     the canonical word's run endpoints; no insertion is performed."""
-    from .canonical import leftmost_letters, rightmost_letters
-
-    row2_p = frozenset(a + 1 for a in leftmost_letters(canonical))
-    row2_q = frozenset(a + 1 for a in rightmost_letters(canonical))
+    runs = canonical.runs
+    row2_p = frozenset([run.letters[0] + 1 for run in runs])
+    row2_q = frozenset([run.letters[-1] + 1 for run in runs])
     return row2_p, row2_q

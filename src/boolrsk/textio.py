@@ -39,13 +39,16 @@ def parse_permutation(text: str) -> Permutation:
 
 
 def parse_int_list(text: str) -> list[int]:
-    values = []
-    for pos, token in enumerate(_tokens(text), start=1):
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise ParseError(f"not an integer: {token!r}", position=pos) from None
-    return values
+    tokens = _tokens(text)
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for pos, token in enumerate(tokens, start=1):
+            try:
+                int(token)
+            except ValueError:
+                raise ParseError(f"not an integer: {token!r}", position=pos) from None
+        raise
 
 
 def parse_binary_word(text: str) -> BinaryWord:
@@ -75,17 +78,17 @@ def parse_tableau(text: str) -> StandardTableau:
         raise ParseError(f"not a standard tableau: {exc}") from None
 
 
-def format_letter(a: int) -> str:
-    return str(a) if a <= 9 else f"({a})"
+def _format_letters(letters: Sequence[int]) -> str:
+    """Letters concatenated, each past 9 in parentheses."""
+    return "".join([f"{a}" if a <= 9 else f"({a})" for a in letters])
 
 
 def format_flat_word(letters: Sequence[int]) -> str:
-    return "[" + "".join(format_letter(a) for a in letters) + "]"
+    return "[" + _format_letters(letters) + "]"
 
 
 def format_run_word(runs: Iterable[RunWord]) -> str:
-    pieces = ["".join(map(format_letter, run.letters)) for run in runs]
-    return "[" + "·".join(pieces) + "]"
+    return "[" + "·".join([_format_letters(run.letters) for run in runs]) + "]"
 
 
 def format_int_set(values: Iterable[int]) -> str:

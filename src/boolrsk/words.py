@@ -187,6 +187,21 @@ def run_decomposition(word: Word) -> tuple[RunWord, ...]:
     return tuple(runs)
 
 
+def _insertion_swaps(entries: tuple[int, ...]) -> list[int]:
+    """The letters of the swaps one insertion-sort pass makes, in order."""
+    entries = list(entries)
+    swaps = []
+    for j in range(1, len(entries)):
+        v = entries[j]
+        k = j
+        while k and entries[k - 1] > v:
+            entries[k] = entries[k - 1]
+            swaps.append(k)
+            k -= 1
+        entries[k] = v
+    return swaps
+
+
 def reduced_word_of(w: Permutation) -> Word:
     """One reduced word for w, found by repeatedly undoing the leftmost descent.
 
@@ -194,37 +209,21 @@ def reduced_word_of(w: Permutation) -> Word:
     leftmost descent always sits just left of the entry being inserted.  So
     one insertion-sort pass records the same swaps in O(n + l(w)).
     """
-    entries = list(w.entries)
-    picked = []
-    for j in range(1, len(entries)):
-        v = entries[j]
-        k = j
-        while k and entries[k - 1] > v:
-            entries[k] = entries[k - 1]
-            picked.append(k)
-            k -= 1
-        entries[k] = v
-    return Word(tuple(reversed(picked)), w.n)
+    return Word(tuple(reversed(_insertion_swaps(w.entries))), w.n)
 
 
 def heap_of(w: Permutation) -> Heap:
     """The heap of a boolean permutation.
 
     Rejects non-boolean input; for boolean w one reduced word determines the
-    orientation of every consecutive pair.
+    orientation of every consecutive pair.  The letters' positions in that
+    word are read off the insertion-sort swaps, with no ``Word`` built.
     """
     w.require_boolean()
-    return _heap_of_word(reduced_word_of(w))
-
-
-def _heap_of_word(word: Word) -> Heap:
-    """The heap read off one reduced word whose letters are distinct."""
-    position = {letter: i for i, letter in enumerate(word.letters)}
-    covers = set()
-    for i in position:
-        if i + 1 in position:
-            covers.add((i, i + 1) if position[i] < position[i + 1] else (i + 1, i))
-    return Heap(frozenset(position), frozenset(covers), word.n)
+    position = {a: i for i, a in enumerate(reversed(_insertion_swaps(w.entries)))}
+    covers = {(a, a + 1) if position[a] < position[a + 1] else (a + 1, a)
+              for a in position if a + 1 in position}
+    return Heap(frozenset(position), frozenset(covers), w.n)
 
 
 def linear_extensions(heap: Heap) -> Iterator[Word]:

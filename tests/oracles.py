@@ -11,10 +11,10 @@ scan, leftmost-descent rescans for a reduced word, the recursive
 count of odd-block binary words, the element-by-window crowding scan, the
 recursive construction of a canonical word from its leftmost letters, the
 window-by-window decoding of a tableau's binary word, the quadratic DP for
-the least longest increasing subsequence, the min-and-rebuild heap scan for
-the canonical word, the recursive enumeration of linear extensions, and the
-step list and the multiplication by reversed runs behind optimal run words
-and Ulam moves.
+the least longest increasing subsequence, the min-and-rebuild heap scan and
+the sorted walk over covers for the canonical word, row insertion by linear
+scan, the recursive enumeration of linear extensions, and the step list and
+the multiplication by reversed runs behind optimal run words and Ulam moves.
 """
 
 import itertools
@@ -317,6 +317,56 @@ def canonical_from_heap_by_min(heap):
             inc.insert(0, RunWord(tuple(range(a, b + 1))))
         remaining -= set(range(a, b + 1))
     return CanonicalWord(tuple(dec), tuple(inc), heap.n)
+
+
+def canonical_from_heap_by_covers(heap):
+    """The canonical word of a heap: sort the elements, then walk each run
+    from its least element by looking its covers up one pair at a time."""
+    from boolrsk import CanonicalWord, RunWord
+
+    elements, covers = heap.elements, heap.covers
+    ordered = sorted(elements)
+    dec = []
+    inc = []
+    i = 0
+    while i < len(ordered):
+        a = b = ordered[i]
+        if a + 1 not in elements:
+            dec.append(RunWord((a,)))
+        elif (a + 1, a) in covers:
+            b = a + 1
+            while (b + 1, b) in covers:
+                b += 1
+            dec.append(RunWord(tuple(range(b, a - 1, -1))))
+        else:
+            b = a + 1
+            while (b, b + 1) in covers:
+                b += 1
+            inc.append(RunWord(tuple(range(a, b + 1))))
+        i += b - a + 1
+    inc.reverse()
+    return CanonicalWord(tuple(dec), tuple(inc), heap.n)
+
+
+def rsk_by_linear_scan(entries):
+    """Insertion and recording rows of the entries, each bump found by
+    scanning its row from the left for the first larger entry."""
+    p_rows, q_rows = [], []
+    for step, value in enumerate(entries, start=1):
+        r = 0
+        while r < len(p_rows):
+            row = p_rows[r]
+            k = next((k for k, x in enumerate(row) if x > value), None)
+            if k is None:
+                break
+            row[k], value = value, row[k]
+            r += 1
+        if r == len(p_rows):
+            p_rows.append([])
+            q_rows.append([])
+        p_rows[r].append(value)
+        q_rows[r].append(step)
+    return tuple(map(tuple, p_rows)), tuple(map(tuple, q_rows))
 
 
 def linear_extensions_recursive(heap):

@@ -1,8 +1,8 @@
 """The fast boolean test, 321 scan, depth, inversion count, reduced word,
-crowding check, realization, word enumeration, canonical word, binary-word
-decoding, least longest increasing subsequence, linear extensions, pattern
-search, optimal run word and Ulam moves against the slow paths they
-replaced, plus guards against a return to a cubic, quadratic or span-bound
+heap, crowding check, realization, word enumeration, canonical word,
+binary-word decoding, least longest increasing subsequence, row insertion,
+linear extensions, pattern search, optimal run word and Ulam moves against
+the slow paths they replaced, plus guards against a return to a cubic, quadratic or span-bound
 cost and to recursion that grows with the input."""
 
 import itertools
@@ -33,6 +33,7 @@ from boolrsk import (
     optimal_run_word,
     realize_leftmost_letters,
     reduced_word_of,
+    rsk,
     run_step,
     tableau_from_binary_word,
     ulam_sort,
@@ -44,6 +45,7 @@ from oracles import (
     avoids_321_by_suffix_min,
     binary_word_by_windows,
     boolean_witness_by_patterns,
+    canonical_from_heap_by_covers,
     canonical_from_heap_by_min,
     canonical_from_word_checked,
     crowding_witness_scan,
@@ -58,6 +60,7 @@ from oracles import (
     pattern_witness_backtracking,
     realize_by_recursion,
     reduced_word_by_leftmost_descent,
+    rsk_by_linear_scan,
 )
 from test_cli import run_cli_fresh
 
@@ -389,6 +392,71 @@ class TestCanonicalFromHeap:
         canonical = canonical_from_heap(heap)
         assert time.perf_counter() - start < 0.2
         assert len(canonical) == 7999
+
+
+def assert_canonical_matches_slow_paths(word, checked=True):
+    """Both fast canonical-word functions against the sorted covers walk, the
+    min-and-rebuild scan and peeling; ``checked`` adds the oracle that runs
+    the full reducedness and pattern checks first, which is slow past degree
+    100."""
+    heap = heap_of(evaluate(word))
+    expected = canonical_from_heap_by_covers(heap)
+    assert canonical_from_heap_by_min(heap) == expected
+    assert canonical_by_peeling(word) == expected
+    assert canonical_from_heap(heap) == expected
+    assert canonical_from_word(word) == expected
+    if checked:
+        assert canonical_from_word_checked(word) == expected
+
+
+class TestOrientationScan:
+    """The one-pass orientation scan behind ``canonical_from_heap`` and
+    ``canonical_from_word``, and the heap read off insertion-sort swaps."""
+
+    def test_every_boolean_permutation_up_to_degree_8(self):
+        for n in range(1, 9):
+            for w in boolean_permutations(n):
+                assert_canonical_matches_slow_paths(reduced_word_of(w))
+
+    @pytest.mark.parametrize("n", [100, 250, 500, 1000])
+    def test_seeded_degrees_at_60_and_100_percent_support(self, n):
+        rng = random.Random(4001 + n)
+        for letters in (rng.sample(range(1, n), (n - 1) * 3 // 5), list(range(1, n))):
+            rng.shuffle(letters)
+            assert_canonical_matches_slow_paths(Word(tuple(letters), n), checked=n <= 100)
+
+    @pytest.mark.parametrize("n", [100, 250, 500, 1000])
+    def test_heap_of_matches_leftmost_descent_word(self, n):
+        rng = random.Random(6007 + n)
+        for letters in (rng.sample(range(1, n), (n - 1) * 3 // 5), range(1, n)):
+            w = boolean_from_shuffled_letters(rng, n, letters)
+            expected = heap_from_word(reduced_word_by_leftmost_descent(w.entries), n)
+            assert heap_of(w) == expected
+
+
+def rows_of(w):
+    p, q = rsk(w)
+    return p.rows, q.rows
+
+
+class TestInsertion:
+    """``rsk`` appends to row one inline and bumps only on a real bump; the
+    oracle scans each row from the left."""
+
+    def test_every_permutation_up_to_degree_7(self):
+        for n in range(1, 8):
+            for w in all_permutations(n):
+                assert rows_of(w) == rsk_by_linear_scan(w.entries), w
+
+    def test_random_decreasing_and_boolean_of_degree_500(self):
+        rng = random.Random(5003)
+        n = 500
+        cases = [random_permutation(rng, n) for _ in range(3)]
+        cases.append(Permutation(tuple(range(n, 0, -1))))
+        cases.append(boolean_from_shuffled_letters(rng, n, range(1, n)))
+        cases.append(boolean_from_shuffled_letters(rng, n, rng.sample(range(1, n), 300)))
+        for w in cases:
+            assert rows_of(w) == rsk_by_linear_scan(w.entries)
 
 
 class TestLinearExtensions:

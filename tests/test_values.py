@@ -142,6 +142,7 @@ INVALID = [
     (Permutation, ((1, 4, 4),), "value 4 out of range 1..3"),
     (Word, ((1,), 0), "degree must be at least 1"),
     (Word, ((1, 3), 3), "letter 3 out of range 1..2"),
+    (Word, ((3, 1, 4), 3), "letter 3 out of range 1..2"),
     (Word, ((6, 1, 7), 5), "letter 6 out of range 1..4"),
     (RunWord, ((),), "run must be nonempty"),
     (RunWord, ((1, 2, 1),), "not a run: (1, 2, 1)"),
@@ -158,6 +159,7 @@ INVALID = [
     (StandardTableau, (((1,), (2, 3)),), "row lengths must weakly decrease"),
     (StandardTableau, (((2, 3), (1,)),), "column not increasing: 2 above 1"),
     (StandardTableau, (((1, 3), (2, 2)),), "column not increasing: 3 above 2"),
+    (StandardTableau, (((1, 3, 4), (2, 2)),), "column not increasing: 3 above 2"),
     (StandardTableau, (((3, 1),),), "row not increasing: (3, 1)"),
     (StandardTableau, (((1, 2), (5, 4)),), "row not increasing: (5, 4)"),
     (StandardTableau, (((1, 2), (3,), (3,)),), "column not increasing: 3 above 3"),
@@ -204,11 +206,29 @@ CANONICAL_INVALID = [
 ]
 
 
-@pytest.mark.parametrize(
-    "cls, values, message",
-    INVALID + CANONICAL_INVALID,
-    ids=[m[:40] for _, _, m in INVALID + CANONICAL_INVALID],
-)
+def message_ids(rows):
+    """An id per row, unique by construction: the first 40 characters of the
+    message, and for the k-th row (k > 1) whose message starts the same way,
+    that prefix followed by the class name and k.  A new row placed after the
+    rows that share its prefix renames no existing test."""
+    ids = []
+    taken: dict[str, int] = {}
+    for cls, _, message in rows:
+        prefix = message[:40]
+        taken[prefix] = k = taken.get(prefix, 0) + 1
+        ids.append(prefix if k == 1 else f"{prefix} ({cls.__name__} #{k})")
+    return ids
+
+
+MESSAGE_IDS = message_ids(INVALID + CANONICAL_INVALID)
+
+
+def test_validation_message_ids_are_unique():
+    assert len(set(MESSAGE_IDS)) == len(MESSAGE_IDS)
+    assert {"letter 3 out of range 1..2", "letter 3 out of range 1..2 (Word #2)"} <= set(MESSAGE_IDS)
+
+
+@pytest.mark.parametrize("cls, values, message", INVALID + CANONICAL_INVALID, ids=MESSAGE_IDS)
 def test_validation_messages(cls, values, message):
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         cls(*values)
@@ -223,6 +243,15 @@ PARSE_INVALID = [
     ("3 3 4", "duplicate value 3 (at token 2)", 2),
     ("1 4 4", "value 4 out of range 1..3 (at token 2)", 2),
     ("2, 1, 0, 0", "value 0 out of range 1..4 (at token 3)", 3),
+    pytest.param(
+        " ".join(map(str, range(1, 101))) + " x 7",
+        "not an integer: 'x' (at token 101)",
+        101,
+        id="x after 100 integers",
+    ),
+    ("1 2 3.0", "not an integer: '3.0' (at token 3)", 3),
+    ("1 -2 3", "value -2 out of range 1..3 (at token 2)", 2),
+    ("3 1 2-1", "not an integer: '2-1' (at token 3)", 3),
 ]
 
 
