@@ -57,28 +57,36 @@ def run_step(w: Permutation) -> RunStep:
 
     Three cases: q = 1 slides to the front (right multiplication); q sitting
     right of q-1 slides next to it (right multiplication); q sitting left of
-    q-1 is relabelled into place (left multiplication).
+    q-1 is relabelled into place (left multiplication).  The run acts on the
+    entries directly, as a slide of one entry or one relabelling pass over
+    the values, so each step builds exactly one checked permutation.
     """
-    if w.is_identity():
+    lis = w.lex_least_lis()
+    if len(lis) == w.n:
         raise DomainError("the identity permutation admits no step")
-    lis_values = set(w.lex_least_lis().values)
+    lis_values = set(lis.values)
     q = next(v for v in range(1, w.n + 1) if v not in lis_values)
-    if q == 1:
-        t = w.position_of(1)
-        run = RunWord(tuple(range(t - 1, 0, -1)))
-        return RunStep(w.apply_word(run.letters, "right"), run, "right", CASE_MISSING_ONE)
+    entries = w.entries
     t = w.position_of(q)
-    t_prev = w.position_of(q - 1)
-    if t > t_prev:
-        # q right of q-1; minimality of q forces a gap of at least two positions
-        assert t > t_prev + 1
-        run = RunWord(tuple(range(t - 1, t_prev, -1)))
-        return RunStep(
-            w.apply_word(run.letters, "right"), run, "right", CASE_RIGHT_OF_PREDECESSOR
-        )
-    j = min(v for v in range(1, q) if w.position_of(v) > t)
-    run = RunWord(tuple(range(j, q)))
-    return RunStep(w.apply_word(run.letters, "left"), run, "left", CASE_LEFT_OF_PREDECESSOR)
+    if q == 1:
+        s, case = 1, CASE_MISSING_ONE
+    else:
+        s, case = w.position_of(q - 1) + 1, CASE_RIGHT_OF_PREDECESSOR
+    if s <= t:
+        # q right of q-1 (or q = 1); minimality of q keeps it off position s
+        assert s < t
+        # the run t-1, ..., s on the right slides the entry at t to position s
+        result = entries[: s - 1] + entries[t - 1 : t] + entries[s - 1 : t - 1] + entries[t:]
+        return RunStep(Permutation(result), RunWord(range(t - 1, s - 1, -1)), "right", case)
+    # 1..q-1 open the least LIS, so its positions list theirs, rising: j is the
+    # first of them right of t
+    j = next(v for v, p in enumerate(lis.positions, start=1) if p > t)
+    # left multiplication by s_j ... s_{q-1} sends q to j and v to v + 1 for j <= v < q
+    relabel = list(range(w.n + 1))
+    relabel[j:q] = range(j + 1, q + 1)
+    relabel[q] = j
+    result = tuple(map(relabel.__getitem__, entries))
+    return RunStep(Permutation(result), RunWord(range(j, q)), "left", CASE_LEFT_OF_PREDECESSOR)
 
 
 def run_statistic(w: Permutation) -> int:
@@ -102,7 +110,7 @@ def optimal_run_word(w: Permutation) -> tuple[RunWord, ...]:
     # left 2 more pymalloc arenas and a 10% higher peak RSS on the ulam-sort benchmark.
     steps = []
     u = w
-    while not u.is_identity():
+    for _ in range(run_statistic(w)):
         steps.append(run_step(u))
         u = steps[-1].result
     left = [step.run.reversed() for step in steps if step.side == "left"]

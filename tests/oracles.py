@@ -13,8 +13,9 @@ recursive construction of a canonical word from its leftmost letters, the
 window-by-window decoding of a tableau's binary word, the quadratic DP for
 the least longest increasing subsequence, the min-and-rebuild heap scan and
 the sorted walk over covers for the canonical word, row insertion by linear
-scan, the recursive enumeration of linear extensions, and the step list and
-the multiplication by reversed runs behind optimal run words and Ulam moves.
+scan, the recursive enumeration of linear extensions, the step map built from
+products of transpositions, and the step list and the multiplication by
+reversed runs behind optimal run words and Ulam moves.
 """
 
 import itertools
@@ -392,16 +393,45 @@ def linear_extensions_recursive(heap):
     return emit()
 
 
-def optimal_run_word_by_insertion(w):
-    """An optimal run word from the whole list of step-map steps, undone last
-    step first: a right step's reversed run goes to the right end, a left
-    step's to the front."""
-    from boolrsk import run_step
+def run_step_by_products(w):
+    """The step map as products of adjacent transpositions: q, the least value
+    missing from the least LIS, is found by scanning 1..n; the run's product is
+    formed letter by letter with ``apply_word`` and composed with w on its
+    side; j is the minimum over all of 1..q-1."""
+    from boolrsk import DomainError, RunStep, RunWord
+    from boolrsk.runstat import (
+        CASE_LEFT_OF_PREDECESSOR,
+        CASE_MISSING_ONE,
+        CASE_RIGHT_OF_PREDECESSOR,
+    )
 
+    if w.is_identity():
+        raise DomainError("the identity permutation admits no step")
+    lis_values = set(w.lex_least_lis().values)
+    q = next(v for v in range(1, w.n + 1) if v not in lis_values)
+    if q == 1:
+        run = RunWord(tuple(range(w.position_of(1) - 1, 0, -1)))
+        return RunStep(w.apply_word(run.letters, "right"), run, "right", CASE_MISSING_ONE)
+    t = w.position_of(q)
+    t_prev = w.position_of(q - 1)
+    if t > t_prev:
+        run = RunWord(tuple(range(t - 1, t_prev, -1)))
+        return RunStep(
+            w.apply_word(run.letters, "right"), run, "right", CASE_RIGHT_OF_PREDECESSOR
+        )
+    j = min(v for v in range(1, q) if w.position_of(v) > t)
+    run = RunWord(tuple(range(j, q)))
+    return RunStep(w.apply_word(run.letters, "left"), run, "left", CASE_LEFT_OF_PREDECESSOR)
+
+
+def optimal_run_word_by_insertion(w):
+    """An optimal run word from the whole list of product-built steps, iterated
+    until the identity and undone last step first: a right step's reversed run
+    goes to the right end, a left step's to the front."""
     steps = []
     u = w
     while not u.is_identity():
-        steps.append(run_step(u))
+        steps.append(run_step_by_products(u))
         u = steps[-1].result
     runs = []
     for step in reversed(steps):

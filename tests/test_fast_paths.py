@@ -1,9 +1,9 @@
 """The fast boolean test, 321 scan, depth, inversion count, reduced word,
 heap, crowding check, realization, word enumeration, canonical word,
 binary-word decoding, least longest increasing subsequence, row insertion,
-linear extensions, pattern search, optimal run word and Ulam moves against
-the slow paths they replaced, plus guards against a return to a cubic, quadratic or span-bound
-cost and to recursion that grows with the input."""
+linear extensions, pattern search, step map, optimal run word and Ulam moves
+against the slow paths they replaced, plus guards against a return to a cubic,
+quadratic or span-bound cost and to recursion that grows with the input."""
 
 import itertools
 import random
@@ -61,6 +61,7 @@ from oracles import (
     realize_by_recursion,
     reduced_word_by_leftmost_descent,
     rsk_by_linear_scan,
+    run_step_by_products,
 )
 from test_cli import run_cli_fresh
 
@@ -486,6 +487,38 @@ class TestPatternWitness:
     def test_pattern_of_length_1500_in_identity_of_degree_3000(self):
         # one stack entry per matched position, past the recursion limit
         assert identity(3000).contains_pattern(identity(1500))
+
+
+def assert_step_matches_products(w):
+    step, expected = run_step(w), run_step_by_products(w)
+    assert step.result == expected.result, w
+    assert step.run == expected.run, w
+    assert step.side == expected.side, w
+    assert step.case == expected.case, w
+
+
+class TestRunStep:
+    def test_every_non_identity_permutation_up_to_degree_8(self):
+        for n in range(1, 9):
+            for w in all_permutations(n):
+                if not w.is_identity():
+                    assert_step_matches_products(w)
+
+    def test_random_near_sorted_and_decreasing_degrees_100_to_500(self):
+        rng = random.Random(5519)
+        for _ in range(40):
+            n = rng.randint(100, 500)
+            assert_step_matches_products(random_permutation(rng, n))
+            assert_step_matches_products(near_sorted_permutation(rng, n, rng.randint(1, 6)))
+            assert_step_matches_products(Permutation(tuple(range(n, 0, -1))))
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 300])
+    def test_identity_raises_the_same_message(self, n):
+        with pytest.raises(DomainError) as fast:
+            run_step(identity(n))
+        with pytest.raises(DomainError) as slow:
+            run_step_by_products(identity(n))
+        assert str(fast.value) == str(slow.value)
 
 
 def assert_run_word_and_moves_match_slow_paths(w, check_ulam_sort=True):

@@ -75,6 +75,16 @@ class TestRunStep:
                 step = run_step(w)
                 assert len(step.result.lex_least_lis()) == len(w.lex_least_lis()) + 1
 
+    def test_step_adds_the_least_missing_value_to_the_least_lis(self):
+        # the library does not rely on this: it is the lemma a flat-array step loop would use
+        for n in range(2, 8):
+            for w in all_permutations(n):
+                if w.is_identity():
+                    continue
+                before = set(w.lex_least_lis().values)
+                q = min(set(range(1, n + 1)) - before)
+                assert set(run_step(w).result.lex_least_lis().values) == before | {q}, w
+
     def test_run_bound_under_step(self):
         for n in range(2, 8):
             for w in all_permutations(n):
