@@ -11,13 +11,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
-from functools import cached_property
 from operator import sub
 
 from ._value import Value
 from .errors import NotBooleanError
 
-_PATTERN_321 = (3, 2, 1)
 _PATTERN_3412 = (3, 4, 1, 2)
 
 
@@ -71,18 +69,12 @@ class Permutation(Value):
             raise ValueError(f"position {i} out of range 1..{self.n}")
         return self.entries[i - 1]
 
-    @cached_property
-    def _positions(self) -> tuple[int, ...]:
-        inv = [0] * self.n
-        for i, v in enumerate(self.entries, start=1):
-            inv[v - 1] = i
-        return tuple(inv)
-
     def position_of(self, value: int) -> int:
-        """The position holding ``value``, i.e. the inverse permutation applied to it."""
+        """The position holding ``value``, i.e. the inverse permutation applied
+        to it; one O(n) scan, as no inverse table is kept."""
         if not 1 <= value <= self.n:
             raise ValueError(f"value {value} out of range 1..{self.n}")
-        return self._positions[value - 1]
+        return self.entries.index(value) + 1
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.entries, start=1))
@@ -101,7 +93,10 @@ class Permutation(Value):
         >>> Permutation((3, 1, 4, 2)).inverse()
         Permutation(entries=(2, 4, 1, 3))
         """
-        return Permutation(self._positions)
+        inv = [0] * self.n
+        for i, v in enumerate(self.entries, start=1):
+            inv[v - 1] = i
+        return Permutation(tuple(inv))
 
     def length(self) -> int:
         """Coxeter length: the number of inversions (i < j with w(i) > w(j)).
@@ -225,15 +220,35 @@ class Permutation(Value):
 
         The positions are the lexicographically least occurrence of 321 if w
         contains 321, and of 3412 otherwise.  Boolean input returns None after
-        the O(n) test ``is_boolean``; only a rejection pays for the
-        backtracking search, and the 321 search runs only when the O(n) scan
-        has found a 321.
+        the O(n) test ``is_boolean``.  The least 321 is found in O(n) by
+        ``_least_321``; only a 321-avoiding rejection pays for the
+        backtracking 3412 search.
         """
         if self.is_boolean():
             return None
         if not self.is_fully_commutative():
-            return ("321", self._pattern_witness(_PATTERN_321))
+            return ("321", self._least_321())
         return ("3412", self._pattern_witness(_PATTERN_3412))
+
+    def _least_321(self) -> tuple[int, int, int]:
+        """The lexicographically least positions (i, j, k) of a 321 in w, which
+        must contain one.  Call a position a middle when some later entry is
+        smaller.  The least i is the first position whose value exceeds some
+        later middle's, j is the first such middle after i, and k the first
+        later entry below w(j).  Three passes, O(n)."""
+        w = self.entries
+        n = len(w)
+        # low[p]: the least of w[p:], 0-based
+        low = list(itertools.accumulate(reversed(w), min, initial=n + 1))[::-1]
+        least_middle = n + 1  # the least middle value right of p
+        for p in range(n - 1, -1, -1):
+            if w[p] > least_middle:
+                i = p
+            elif low[p + 1] < w[p]:
+                least_middle = w[p]
+        j = next(p for p in range(i + 1, n) if low[p + 1] < w[p] < w[i])
+        k = next(p for p in range(j + 1, n) if w[p] < w[j])
+        return (i + 1, j + 1, k + 1)
 
     def require_boolean(self) -> None:
         witness = self.boolean_witness()
@@ -264,14 +279,17 @@ class Permutation(Value):
         fall: if i < j shared a level and w(i) < w(j), then i would sit one
         level higher.  A pick on level k + 1 has some larger value to its right
         on level k, so the least value on level k above the pick also lies to
-        its right, and one binary search finds it.  O(n log n).
+        its right, and one binary search finds it.  The picks' positions rise
+        too, so each is found by scanning the entries on from the previous
+        one: a single pass in all, with no inverse table.  O(n log n).
 
         >>> Permutation((5, 1, 6, 4, 2, 7, 3, 8)).lex_least_lis().values
         (1, 2, 3, 8)
         """
+        entries = self.entries
         tails: list[int] = []  # tails[k]: least -w(i) seen on level k + 1
         levels: list[list[int]] = []  # levels[k]: values on level k + 1, ascending
-        for v in reversed(self.entries):
+        for v in reversed(entries):
             k = bisect_left(tails, -v)
             if k == len(tails):
                 tails.append(-v)
@@ -279,12 +297,15 @@ class Permutation(Value):
             else:
                 tails[k] = -v
                 levels[k].append(v)
+        positions = []
         values = []
-        floor_val = 0
+        floor_val = floor_pos = 0
         for level in reversed(levels):
             floor_val = level[bisect_right(level, floor_val)]
+            floor_pos = entries.index(floor_val, floor_pos) + 1
+            positions.append(floor_pos)
             values.append(floor_val)
-        return Subsequence(tuple(self._positions[v - 1] for v in values), tuple(values))
+        return Subsequence(tuple(positions), tuple(values))
 
     def __str__(self) -> str:
         return "".join(str(v) if v <= 9 else f"({v})" for v in self.entries)

@@ -11,6 +11,7 @@ with a minimum number of delete-and-reinsert (Ulam) moves.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 
 from ._value import Value
@@ -59,28 +60,27 @@ def run_step(w: Permutation) -> RunStep:
     right of q-1 slides next to it (right multiplication); q sitting left of
     q-1 is relabelled into place (left multiplication).  The run acts on the
     entries directly, as a slide of one entry or one relabelling pass over
-    the values, so each step builds exactly one checked permutation.
+    the values, so each step builds exactly one checked permutation.  All of
+    1..q-1 open the least LIS, so q, the position of q-1 and j are read off it.
     """
     lis = w.lex_least_lis()
     if len(lis) == w.n:
         raise DomainError("the identity permutation admits no step")
-    lis_values = set(lis.values)
-    q = next(v for v in range(1, w.n + 1) if v not in lis_values)
+    q = next((v for v, u in enumerate(lis.values, start=1) if u != v), len(lis) + 1)
     entries = w.entries
-    t = w.position_of(q)
+    t = entries.index(q) + 1
     if q == 1:
         s, case = 1, CASE_MISSING_ONE
     else:
-        s, case = w.position_of(q - 1) + 1, CASE_RIGHT_OF_PREDECESSOR
+        s, case = lis.positions[q - 2] + 1, CASE_RIGHT_OF_PREDECESSOR
     if s <= t:
         # q right of q-1 (or q = 1); minimality of q keeps it off position s
         assert s < t
         # the run t-1, ..., s on the right slides the entry at t to position s
         result = entries[: s - 1] + entries[t - 1 : t] + entries[s - 1 : t - 1] + entries[t:]
         return RunStep(Permutation(result), RunWord(range(t - 1, s - 1, -1)), "right", case)
-    # 1..q-1 open the least LIS, so its positions list theirs, rising: j is the
-    # first of them right of t
-    j = next(v for v, p in enumerate(lis.positions, start=1) if p > t)
+    # the positions of 1..q-1 rise along the least LIS: j is the first of them right of t
+    j = bisect_right(lis.positions, t, 0, q - 1) + 1
     # left multiplication by s_j ... s_{q-1} sends q to j and v to v + 1 for j <= v < q
     relabel = list(range(w.n + 1))
     relabel[j:q] = range(j + 1, q + 1)
@@ -118,13 +118,18 @@ def optimal_run_word(w: Permutation) -> tuple[RunWord, ...]:
     return tuple(left + right[::-1])
 
 
-def apply_ulam_move(w: Permutation, move: UlamMove) -> Permutation:
-    values = list(w.entries)
+def _apply_move(values: list[int], move: UlamMove) -> None:
+    """Apply ``move`` in place to ``values``, one-line entries."""
     v = values.pop(move.from_position - 1)
     if move.insert_after_value is None:
         values.insert(0, v)
     else:
         values.insert(values.index(move.insert_after_value) + 1, v)
+
+
+def apply_ulam_move(w: Permutation, move: UlamMove) -> Permutation:
+    values = list(w.entries)
+    _apply_move(values, move)
     return Permutation(tuple(values))
 
 
@@ -135,23 +140,21 @@ def ulam_sort(w: Permutation) -> tuple[UlamMove, ...]:
     multiplying by a reversed run on the right deletes one entry and reinserts
     it, which is exactly an Ulam move.  The move count is run_statistic(w).
     """
-    return tuple(move for move, _ in _moves_from_runs(w, optimal_run_word(w)))
+    return tuple(_moves_from_runs(w, optimal_run_word(w)))
 
 
-def _moves_from_runs(
-    w: Permutation, runs: tuple[RunWord, ...]
-) -> Iterator[tuple[UlamMove, Permutation]]:
-    """Each Ulam move read off ``runs``, an optimal run word for w, with the
-    permutation it leaves."""
-    u = w
+def _moves_from_runs(w: Permutation, runs: tuple[RunWord, ...]) -> Iterator[UlamMove]:
+    """Each Ulam move read off ``runs``, an optimal run word for w, applied
+    in turn to one list of entries."""
+    values = list(w.entries)
     for run in reversed(runs):
         # the move is the right multiplication by the run read backwards
         if run.last <= run.first:
             # ascending backwards, a = last to b = first: position a slides right to b+1
-            move = UlamMove(run.last, u(run.first + 1))
+            move = UlamMove(run.last, values[run.first])
         else:
             # descending backwards, b = last to a = first: position b+1 slides left to a
-            move = UlamMove(run.last + 1, u(run.first - 1) if run.first > 1 else None)
-        u = apply_ulam_move(u, move)
-        yield move, u
-    assert u.is_identity()
+            move = UlamMove(run.last + 1, values[run.first - 2] if run.first > 1 else None)
+        _apply_move(values, move)
+        yield move
+    assert values == sorted(values)

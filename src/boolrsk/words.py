@@ -52,6 +52,10 @@ class RunWord(Value):
     _fields = ("letters",)
 
     def __init__(self, letters: tuple[int, ...]) -> None:
+        # a nonempty range stepping by 1 or -1 is a run by construction
+        if type(letters) is range and letters and letters.step in (1, -1):
+            object.__setattr__(self, "letters", tuple(letters))
+            return
         letters = tuple(letters)
         object.__setattr__(self, "letters", letters)
         if not letters:
@@ -74,7 +78,8 @@ class RunWord(Value):
         return self.letters[-1]
 
     def reversed(self) -> "RunWord":
-        return RunWord(self.letters[::-1])
+        a, b = self.letters[0], self.letters[-1]
+        return RunWord(range(b, a + 1) if b <= a else range(b, a - 1, -1))
 
     def __len__(self) -> int:
         return len(self.letters)

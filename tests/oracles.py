@@ -395,9 +395,9 @@ def linear_extensions_recursive(heap):
 
 def run_step_by_products(w):
     """The step map as products of adjacent transpositions: q, the least value
-    missing from the least LIS, is found by scanning 1..n; the run's product is
-    formed letter by letter with ``apply_word`` and composed with w on its
-    side; j is the minimum over all of 1..q-1."""
+    missing from the least LIS (by the quadratic DP), is found by scanning
+    1..n; the run's product is formed letter by letter with ``apply_word`` and
+    composed with w on its side; j is the minimum over all of 1..q-1."""
     from boolrsk import DomainError, RunStep, RunWord
     from boolrsk.runstat import (
         CASE_LEFT_OF_PREDECESSOR,
@@ -407,7 +407,7 @@ def run_step_by_products(w):
 
     if w.is_identity():
         raise DomainError("the identity permutation admits no step")
-    lis_values = set(w.lex_least_lis().values)
+    lis_values = set(lex_least_lis_dp(w.entries)[1])
     q = next(v for v in range(1, w.n + 1) if v not in lis_values)
     if q == 1:
         run = RunWord(tuple(range(w.position_of(1) - 1, 0, -1)))
@@ -428,6 +428,8 @@ def optimal_run_word_by_insertion(w):
     """An optimal run word from the whole list of product-built steps, iterated
     until the identity and undone last step first: a right step's reversed run
     goes to the right end, a left step's to the front."""
+    from boolrsk import RunWord
+
     steps = []
     u = w
     while not u.is_identity():
@@ -435,10 +437,11 @@ def optimal_run_word_by_insertion(w):
         u = steps[-1].result
     runs = []
     for step in reversed(steps):
+        reversed_run = RunWord(step.run.letters[::-1])
         if step.side == "right":
-            runs.append(step.run.reversed())
+            runs.append(reversed_run)
         else:
-            runs.insert(0, step.run.reversed())
+            runs.insert(0, reversed_run)
     return tuple(runs)
 
 

@@ -19,6 +19,7 @@ from boolrsk import (
     Permutation,
     Word,
     all_permutations,
+    apply_ulam_move,
     binary_word_from_tableau,
     boolean_permutations,
     canonical_from_heap,
@@ -63,7 +64,7 @@ from oracles import (
     rsk_by_linear_scan,
     run_step_by_products,
 )
-from test_cli import run_cli_fresh
+from test_cli import run_cli, run_cli_fresh
 
 
 def heap_from_word(letters, n):
@@ -365,6 +366,17 @@ class TestLexLeastLis:
             w = random_permutation(rng, 200)
             assert len(run_step(w).result.lex_least_lis()) == len(w.lex_least_lis()) + 1
 
+    def test_random_near_sorted_and_decreasing_degrees_500_to_1000(self):
+        rng = random.Random(7019)
+        for _ in range(3):
+            n = rng.randint(500, 1000)
+            for w in (
+                random_permutation(rng, n),
+                near_sorted_permutation(rng, n, rng.randint(1, 6)),
+                Permutation(tuple(range(n, 0, -1))),
+            ):
+                assert lis_pair(w) == lex_least_lis_dp(w.entries)
+
     def test_degree_100000_is_fast(self):
         w = random_permutation(random.Random(100000), 100000)
         start = time.perf_counter()
@@ -489,6 +501,47 @@ class TestPatternWitness:
         assert identity(3000).contains_pattern(identity(1500))
 
 
+def blocks_then_321(m):
+    """(m+1, ..., 2m, 1, ..., m, 2m+3, 2m+2, 2m+1).  Each of the first m
+    entries exceeds the next m, none of which has a smaller entry after it, so
+    the least 321 is the last three positions and a backtracking search tries
+    every earlier pair first."""
+    low, high = range(1, m + 1), range(m + 1, 2 * m + 1)
+    return Permutation((*high, *low, 2 * m + 3, 2 * m + 2, 2 * m + 1))
+
+
+class TestLeast321:
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 20, 100])
+    def test_blocks_then_321_match_backtracking(self, m):
+        w = blocks_then_321(m)
+        assert w.boolean_witness() == boolean_witness_by_patterns(w.entries)
+        assert w.boolean_witness() == ("321", (2 * m + 1, 2 * m + 2, 2 * m + 3))
+
+    def test_seeded_321_rejects_degrees_100_to_300(self):
+        # random permutations, and boolean ones with the three largest values
+        # planted in decreasing order at random positions
+        rng = random.Random(3217)
+        for _ in range(8):
+            n = rng.randint(100, 300)
+            rest = iter(boolean_from_shuffled_letters(rng, n - 3, range(1, n - 3)).entries)
+            planted = dict(zip(sorted(rng.sample(range(n), 3)), (n, n - 1, n - 2)))
+            entries = tuple(planted.get(p) or next(rest) for p in range(n))
+            for w in (random_permutation(rng, n), Permutation(entries)):
+                witness = boolean_witness_by_patterns(w.entries)
+                assert witness[0] == "321"
+                assert w.boolean_witness() == witness
+
+    def test_degree_2003_is_fast_and_the_cli_names_the_witness(self):
+        w = blocks_then_321(1000)
+        start = time.perf_counter()
+        witness = w.boolean_witness()
+        assert time.perf_counter() - start < 0.05
+        assert witness == ("321", (2001, 2002, 2003))
+        code, out, err = run_cli("heap", " ".join(map(str, w.entries)))
+        assert (code, out) == (1, "")
+        assert err == "error: not boolean: pattern 321 at positions (2001, 2002, 2003)\n"
+
+
 def assert_step_matches_products(w):
     step, expected = run_step(w), run_step_by_products(w)
     assert step.result == expected.result, w
@@ -512,6 +565,14 @@ class TestRunStep:
             assert_step_matches_products(near_sorted_permutation(rng, n, rng.randint(1, 6)))
             assert_step_matches_products(Permutation(tuple(range(n, 0, -1))))
 
+    def test_random_near_sorted_and_decreasing_degrees_500_to_1000(self):
+        rng = random.Random(8089)
+        for _ in range(3):
+            n = rng.randint(500, 1000)
+            assert_step_matches_products(random_permutation(rng, n))
+            assert_step_matches_products(near_sorted_permutation(rng, n, rng.randint(1, 6)))
+            assert_step_matches_products(Permutation(tuple(range(n, 0, -1))))
+
     @pytest.mark.parametrize("n", [1, 2, 8, 300])
     def test_identity_raises_the_same_message(self, n):
         with pytest.raises(DomainError) as fast:
@@ -526,10 +587,11 @@ def assert_run_word_and_moves_match_slow_paths(w, check_ulam_sort=True):
     once more to repeat the moves already compared."""
     runs = optimal_run_word(w)
     assert runs == optimal_run_word_by_insertion(w), w
-    steps = list(_moves_from_runs(w, runs))
-    assert steps == moves_from_runs_by_words(w, runs), w
+    moves = tuple(_moves_from_runs(w, runs))
+    states = list(itertools.accumulate(moves, apply_ulam_move, initial=w))[1:]
+    assert list(zip(moves, states)) == moves_from_runs_by_words(w, runs), w
     if check_ulam_sort:
-        assert ulam_sort(w) == tuple(move for move, _ in steps)
+        assert ulam_sort(w) == moves
 
 
 class TestRunWordAndUlamMoves:

@@ -21,6 +21,7 @@ from boolrsk import (
     ulam_sort,
 )
 from boolrsk.acceptance import brute_force_run
+from boolrsk.commands import ulam as ulam_command
 from boolrsk.runstat import (
     CASE_LEFT_OF_PREDECESSOR,
     CASE_MISSING_ONE,
@@ -198,14 +199,20 @@ class TestUlamSort:
                 assert u.is_identity()
 
     def test_states_are_the_replayed_moves(self):
+        # the states the ulam command prints, against the moves replayed one by one
         for n in range(1, 7):
             for w in all_permutations(n):
-                steps = list(_moves_from_runs(w, optimal_run_word(w)))
-                assert tuple(move for move, _ in steps) == ulam_sort(w)
+                moves = tuple(_moves_from_runs(w, optimal_run_word(w)))
+                assert moves == ulam_sort(w)
+                result, _ = ulam_command.run(w)
+                assert result["moves"] == [
+                    {"pos": m.from_position, "after": m.insert_after_value} for m in moves
+                ]
+                assert len(result["states"]) == len(moves)
                 u = w
-                for move, state in steps:
+                for move, state in zip(moves, result["states"]):
                     u = apply_ulam_move(u, move)
-                    assert state == u
+                    assert state == list(u.entries)
 
 
 class TestBruteForceRun:

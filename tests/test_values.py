@@ -121,15 +121,24 @@ def test_a_sequence_field_becomes_a_tuple():
     assert Permutation([2, 1]) == Permutation((2, 1))
 
 
-def test_positions_are_computed_once():
+def test_no_inverse_table_is_kept():
     w = Permutation((3, 1, 2))
-    assert "_positions" not in vars(w)
-    positions = w._positions
-    assert positions == (2, 3, 1)
-    assert w._positions is positions and vars(w)["_positions"] is positions
+    assert [w.position_of(v) for v in (1, 2, 3)] == [2, 3, 1]
     assert w.inverse() == Permutation((2, 3, 1))
+    assert w.lex_least_lis() == Subsequence((2, 3), (1, 2))
+    assert vars(w) == {"entries": (3, 1, 2)}
     assert w == Permutation((3, 1, 2)) and hash(w) == hash(Permutation((3, 1, 2)))
-    assert pickle.loads(pickle.dumps(w))._positions == positions
+    assert vars(pickle.loads(pickle.dumps(w))) == {"entries": (3, 1, 2)}
+
+
+@pytest.mark.parametrize(
+    "letters", [range(3, 7), range(8, 6, -1), range(5, 6), range(5, 4, -1)], ids=repr
+)
+def test_a_range_run_equals_the_tuple_run(letters):
+    run, twin = RunWord(letters), RunWord(tuple(letters))
+    assert type(run.letters) is tuple
+    assert run == twin and hash(run) == hash(twin) and repr(run) == repr(twin)
+    assert run.reversed() == RunWord(tuple(letters)[::-1])
 
 
 # (class, field values, the ValueError message)
@@ -147,6 +156,8 @@ INVALID = [
     (RunWord, ((),), "run must be nonempty"),
     (RunWord, ((1, 2, 1),), "not a run: (1, 2, 1)"),
     (RunWord, ((1, 3),), "not a run: (1, 3)"),
+    (RunWord, (range(1, 8, 2),), "not a run: (1, 3, 5, 7)"),
+    (RunWord, (range(3, 3),), "run must be nonempty"),
     (BinaryWord, ((0, 2),), "bits must be 0 or 1"),
     (Heap, ({1, 3}, {(1, 3)}, 5), "cover (1, 3) does not relate consecutive letters"),
     (Heap, (frozenset({1}), frozenset({(1, 2)}), 5), "cover (1, 2) outside the element set"),

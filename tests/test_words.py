@@ -244,6 +244,15 @@ class TestHeap:
                     for x, y in heap.covers:
                         assert index[x] < index[y]
 
+    def test_orientation_is_read_off_the_entries(self):
+        # a precedes a + 1 exactly when w(a + 1) > a + 1
+        for n in range(1, 9):
+            for w in boolean_permutations(n):
+                heap = heap_of(w)
+                for a in heap.elements:
+                    if a + 1 in heap.elements:
+                        assert heap.precedes(a, a + 1) == (w(a + 1) > a + 1), (w, a)
+
 
 class TestLinearExtensions:
     def test_known_words_appear(self):
