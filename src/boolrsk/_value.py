@@ -15,6 +15,16 @@ class Value:
     def __init_subclass__(cls) -> None:
         cls._key = attrgetter(*cls._fields)  # one field: its value; several: a tuple
 
+    @classmethod
+    def _trusted(cls, *fields):
+        """The value with these fields, in ``_fields`` order, built with no
+        checks.  For library results that are valid by construction only; each
+        field must already have the type the checked constructor stores."""
+        value = object.__new__(cls)
+        for name, field in zip(cls._fields, fields):
+            object.__setattr__(value, name, field)
+        return value
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._key(self) == self._key(other)

@@ -59,6 +59,16 @@ class CanonicalWord:
         if any(map(lt, inc_first, inc_last[1:])):
             raise ValueError("increasing runs must be ordered larger letters first")
 
+    @classmethod
+    def _trusted(cls, dec_runs, inc_runs, n):
+        """The canonical word with these fields, built with no checks, as
+        ``Value._trusted`` builds the other value types."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "dec_runs", dec_runs)
+        object.__setattr__(word, "inc_runs", inc_runs)
+        object.__setattr__(word, "n", n)
+        return word
+
     @property
     def runs(self) -> tuple[RunWord, ...]:
         return self.dec_runs + self.inc_runs
@@ -94,11 +104,14 @@ def _canonical_from_orientation(orient: list, n: int) -> CanonicalWord:
         while orient[b] == s != 0:
             b += 1
         if s > 0:
-            inc.append(RunWord(range(a, b + 1)))
+            # consecutive letters a..b, rising
+            inc.append(RunWord._trusted(tuple(range(a, b + 1))))
         else:
-            dec.append(RunWord(range(b, a - 1, -1)))
+            # consecutive letters b..a, falling
+            dec.append(RunWord._trusted(tuple(range(b, a - 1, -1))))
     inc.reverse()
-    return CanonicalWord(tuple(dec), tuple(inc), n)
+    # disjoint runs of letters below n: decreasing ones rising, increasing ones falling
+    return CanonicalWord._trusted(tuple(dec), tuple(inc), n)
 
 
 def canonical_from_heap(heap: Heap) -> CanonicalWord:

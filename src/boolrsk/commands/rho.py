@@ -1,12 +1,12 @@
 """``boolrsk rho``: one run-multiplication step toward the identity."""
 
-from ..runstat import run_step
+from ..runstat import _least_missing, _step
 from ..textio import format_flat_word, space_separated
 
 
 def run(w):
     lis = w.lex_least_lis()
-    step = run_step(w)
+    step = _step(w, lis)
     length_before, length_after = w.length(), step.result.length()
     result = {
         "lis_values": list(lis.values),
@@ -18,13 +18,11 @@ def run(w):
         "length_before": length_before,
         "length_after": length_after,
     }
-    in_lis = set(lis.values)
-    missing = next(v for v in range(1, w.n + 1) if v not in in_lis)
     lines = [
         f"length = {length_before}",
         f"lex least longest increasing subsequence = {space_separated(lis.values)}"
         f" (positions {space_separated(lis.positions)})",
-        f"smallest value missing from it = {missing}",
+        f"smallest value missing from it = {_least_missing(lis)}",
         f"case: {step.case}",
         f"run = {format_flat_word(step.run.letters)} (applied on the {step.side})",
         f"result = {step.result}",

@@ -1,13 +1,13 @@
 """``boolrsk run``: the run statistic and an optimal run word."""
 
-from ..runstat import optimal_run_word, run_statistic
+from ..runstat import optimal_run_word
 from ..textio import format_run_word
 
 
 def run(w):
-    runs = optimal_run_word(w)
-    statistic = run_statistic(w)
-    lis = len(w.lex_least_lis())
+    runs = optimal_run_word(w)  # one run per step: n minus the least LIS's length
+    statistic = len(runs)
+    lis = w.n - statistic
     result = {
         "n": w.n,
         "lis": lis,

@@ -85,7 +85,8 @@ class Permutation(Value):
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"cannot compose degrees {self.n} and {other.n}")
-        return Permutation(tuple(self.entries[v - 1] for v in other.entries))
+        # a composition of two permutations of one degree is a permutation
+        return Permutation._trusted(tuple(self.entries[v - 1] for v in other.entries))
 
     def inverse(self) -> "Permutation":
         """The inverse permutation: u with u(w(i)) = i.
@@ -96,7 +97,8 @@ class Permutation(Value):
         inv = [0] * self.n
         for i, v in enumerate(self.entries, start=1):
             inv[v - 1] = i
-        return Permutation(tuple(inv))
+        # each position is written once, by the one entry that sends it there
+        return Permutation._trusted(tuple(inv))
 
     def length(self) -> int:
         """Coxeter length: the number of inversions (i < j with w(i) > w(j)).
@@ -318,7 +320,8 @@ def _product_of_letters(letters: Sequence[int], n: int) -> Permutation:
         if not 1 <= a <= n - 1:
             raise ValueError(f"letter {a} out of range 1..{n - 1}")
         entries[a - 1], entries[a] = entries[a], entries[a - 1]
-    return Permutation(tuple(entries))
+    # swaps of 1..n, n >= 1 for every caller: a word's degree and a permutation's
+    return Permutation._trusted(tuple(entries))
 
 
 def from_one_line(values: Sequence[int]) -> Permutation:

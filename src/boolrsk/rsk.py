@@ -139,7 +139,8 @@ def rsk(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
             row1.append(value)
             r = 0
         q_rows[r].append(step)
-    return StandardTableau(p_rows), StandardTableau(q_rows)
+    # row insertion of n >= 1 distinct values keeps both tableaux standard
+    return tuple(StandardTableau._trusted(tuple(map(tuple, rows))) for rows in (p_rows, q_rows))
 
 
 def partial_insertion(w: Permutation, i: int) -> StandardTableau:
@@ -155,7 +156,8 @@ def shape_of(w: Permutation) -> Shape:
     Its first part is the length of a longest increasing subsequence of w and
     the first part of its conjugate is the length of a longest decreasing one.
     """
-    return Shape(tuple(len(row) for row in _insert(w.entries)))
+    # the row lengths of an insertion tableau
+    return Shape._trusted(tuple(map(len, _insert(w.entries))))
 
 
 def row2_from_canonical(canonical: CanonicalWord) -> tuple[frozenset[int], frozenset[int]]:

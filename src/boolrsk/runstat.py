@@ -16,7 +16,7 @@ from collections.abc import Iterator
 
 from ._value import Value
 from .errors import DomainError
-from .permutation import Permutation
+from .permutation import Permutation, Subsequence
 from .words import RunWord
 
 CASE_MISSING_ONE = "missing-value-is-1"
@@ -60,13 +60,22 @@ def run_step(w: Permutation) -> RunStep:
     right of q-1 slides next to it (right multiplication); q sitting left of
     q-1 is relabelled into place (left multiplication).  The run acts on the
     entries directly, as a slide of one entry or one relabelling pass over
-    the values, so each step builds exactly one checked permutation.  All of
+    the values, so each step builds one permutation and checks none.  All of
     1..q-1 open the least LIS, so q, the position of q-1 and j are read off it.
     """
-    lis = w.lex_least_lis()
+    return _step(w, w.lex_least_lis())
+
+
+def _least_missing(lis: Subsequence) -> int:
+    """q, the least value missing from ``lis``: 1..q-1 open a least LIS."""
+    return next((v for v, u in enumerate(lis.values, start=1) if u != v), len(lis) + 1)
+
+
+def _step(w: Permutation, lis: Subsequence) -> RunStep:
+    """run_step(w) given ``lis``, the least LIS of w."""
     if len(lis) == w.n:
         raise DomainError("the identity permutation admits no step")
-    q = next((v for v, u in enumerate(lis.values, start=1) if u != v), len(lis) + 1)
+    q = _least_missing(lis)
     entries = w.entries
     t = entries.index(q) + 1
     if q == 1:
@@ -78,7 +87,9 @@ def run_step(w: Permutation) -> RunStep:
         assert s < t
         # the run t-1, ..., s on the right slides the entry at t to position s
         result = entries[: s - 1] + entries[t - 1 : t] + entries[s - 1 : t - 1] + entries[t:]
-        return RunStep(Permutation(result), RunWord(range(t - 1, s - 1, -1)), "right", case)
+        # w's entries reordered, and the letters t-1 down to s, a run as s < t
+        u, run = Permutation._trusted(result), RunWord._trusted(tuple(range(t - 1, s - 1, -1)))
+        return RunStep(u, run, "right", case)
     # the positions of 1..q-1 rise along the least LIS: j is the first of them right of t
     j = bisect_right(lis.positions, t, 0, q - 1) + 1
     # left multiplication by s_j ... s_{q-1} sends q to j and v to v + 1 for j <= v < q
@@ -86,7 +97,9 @@ def run_step(w: Permutation) -> RunStep:
     relabel[j:q] = range(j + 1, q + 1)
     relabel[q] = j
     result = tuple(map(relabel.__getitem__, entries))
-    return RunStep(Permutation(result), RunWord(range(j, q)), "left", CASE_LEFT_OF_PREDECESSOR)
+    # relabel permutes 1..n, and j < q as q-1 sits right of t
+    u, run = Permutation._trusted(result), RunWord._trusted(tuple(range(j, q)))
+    return RunStep(u, run, "left", CASE_LEFT_OF_PREDECESSOR)
 
 
 def run_statistic(w: Permutation) -> int:
@@ -108,10 +121,14 @@ def optimal_run_word(w: Permutation) -> tuple[RunWord, ...]:
     """
     # Every step stays alive until the runs are filed: dropping each inside the loop
     # left 2 more pymalloc arenas and a 10% higher peak RSS on the ulam-sort benchmark.
+    # Each step lengthens the least LIS by one, so the first one counts the steps
+    # and the loop stops at the last step, with no LIS taken of the identity.
     steps = []
-    u = w
-    for _ in range(run_statistic(w)):
-        steps.append(run_step(u))
+    u, lis = w, w.lex_least_lis()
+    for k in range(w.n - len(lis)):
+        if k:
+            lis = u.lex_least_lis()
+        steps.append(_step(u, lis))
         u = steps[-1].result
     left = [step.run.reversed() for step in steps if step.side == "left"]
     right = [step.run.reversed() for step in steps if step.side == "right"]
@@ -130,7 +147,8 @@ def _apply_move(values: list[int], move: UlamMove) -> None:
 def apply_ulam_move(w: Permutation, move: UlamMove) -> Permutation:
     values = list(w.entries)
     _apply_move(values, move)
-    return Permutation(tuple(values))
+    # one entry moved: the same values in another order
+    return Permutation._trusted(tuple(values))
 
 
 def ulam_sort(w: Permutation) -> tuple[UlamMove, ...]:

@@ -152,7 +152,8 @@ def tableau_from_binary_word(word: BinaryWord) -> StandardTableau:
         raise DomainError(f"{word} has an even block of 1s")
     n = word.n
     if all(b == 0 for b in word.bits):
-        return StandardTableau((tuple(range(1, n + 1)),))
+        # 1..n in one row, n >= 1
+        return StandardTableau._trusted((tuple(range(1, n + 1)),))
     row1 = {1}
     row2 = set()
     for i, bit in enumerate(word.bits, start=1):
@@ -165,7 +166,9 @@ def tableau_from_binary_word(word: BinaryWord) -> StandardTableau:
             row2.add(n + 1 - j)
         for j in range(start + 2, end + 1, 2):
             row1.add(n + 1 - j)
-    return StandardTableau((tuple(sorted(row1)), tuple(sorted(row2))))
+    # rows splitting 1..n, row two nonempty.  Read upward, a block and the row-one
+    # entry below it never put more in row two than in row one, so columns rise.
+    return StandardTableau._trusted((tuple(sorted(row1)), tuple(sorted(row2))))
 
 
 def binary_word_from_tableau(tableau: StandardTableau) -> BinaryWord:
@@ -202,7 +205,8 @@ def binary_word_from_tableau(tableau: StandardTableau) -> BinaryWord:
                 k += 1
         bits[i - 1 : i + 2 * k] = [1] * (2 * k + 1)
         i += 2 * k + 1
-    return BinaryWord(tuple(bits))
+    # zeros with blocks of ones written in
+    return BinaryWord._trusted(tuple(bits))
 
 
 def odd_run_words(n: int) -> Iterator[BinaryWord]:
@@ -214,7 +218,8 @@ def odd_run_words(n: int) -> Iterator[BinaryWord]:
         raise ValueError("degree must be at least 1")
     bits = [0] * (n - 1)
     while True:
-        yield BinaryWord(tuple(bits))
+        # bits of 0 and 1 only
+        yield BinaryWord._trusted(tuple(bits))
         # The next word keeps the longest prefix that can take a 1 where the
         # current word has a 0, then completes it as small as possible: with
         # zeros if the block of 1s so made is odd, else with one more 1 first.

@@ -52,10 +52,6 @@ class RunWord(Value):
     _fields = ("letters",)
 
     def __init__(self, letters: tuple[int, ...]) -> None:
-        # a nonempty range stepping by 1 or -1 is a run by construction
-        if type(letters) is range and letters and letters.step in (1, -1):
-            object.__setattr__(self, "letters", tuple(letters))
-            return
         letters = tuple(letters)
         object.__setattr__(self, "letters", letters)
         if not letters:
@@ -78,8 +74,8 @@ class RunWord(Value):
         return self.letters[-1]
 
     def reversed(self) -> "RunWord":
-        a, b = self.letters[0], self.letters[-1]
-        return RunWord(range(b, a + 1) if b <= a else range(b, a - 1, -1))
+        # the letters of a run read backwards are a run
+        return RunWord._trusted(self.letters[::-1])
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -214,7 +210,8 @@ def reduced_word_of(w: Permutation) -> Word:
     leftmost descent always sits just left of the entry being inserted.  So
     one insertion-sort pass records the same swaps in O(n + l(w)).
     """
-    return Word(tuple(reversed(_insertion_swaps(w.entries))), w.n)
+    # an insertion sort of n entries swaps at positions 1..n-1 only
+    return Word._trusted(tuple(reversed(_insertion_swaps(w.entries))), w.n)
 
 
 def heap_of(w: Permutation) -> Heap:
@@ -228,7 +225,8 @@ def heap_of(w: Permutation) -> Heap:
     position = {a: i for i, a in enumerate(reversed(_insertion_swaps(w.entries)))}
     covers = {(a, a + 1) if position[a] < position[a + 1] else (a + 1, a)
               for a in position if a + 1 in position}
-    return Heap(frozenset(position), frozenset(covers), w.n)
+    # swap letters lie in 1..n-1, and each pair of consecutive ones gets one cover
+    return Heap._trusted(frozenset(position), frozenset(covers), w.n)
 
 
 def linear_extensions(heap: Heap) -> Iterator[Word]:
@@ -241,6 +239,10 @@ def linear_extensions(heap: Heap) -> Iterator[Word]:
     tries the next available one above it, so no recursion depth grows with
     the heap.
     """
+    if not heap.elements:
+        # no element bounds the degree, which the checked constructor requires to be >= 1
+        yield Word((), heap.n)
+        return
     above: dict[int, list[int]] = {e: [] for e in heap.elements}
     waiting = dict.fromkeys(heap.elements, 0)  # lower covers not yet placed
     for x, y in heap.covers:
@@ -251,7 +253,8 @@ def linear_extensions(heap: Heap) -> Iterator[Word]:
     k = 0  # index in ``available`` of the next element to try at this depth
     while True:
         if len(sequence) == len(waiting):
-            yield Word(tuple(sequence), heap.n)
+            # the heap's elements, which lie in 1..n-1
+            yield Word._trusted(tuple(sequence), heap.n)
         if k < len(available):
             e = available.pop(k)
             sequence.append(e)
@@ -307,7 +310,8 @@ def _closure(word: Word, braids: bool) -> list[Word]:
                     seen.add(other)
                     fresh.append(other)
         frontier = fresh
-    return [Word(letters, word.n) for letters in sorted(seen)]
+    # every move reuses letters already in ``word``
+    return [Word._trusted(letters, word.n) for letters in sorted(seen)]
 
 
 def all_reduced_words(w: Permutation) -> list[Word]:
