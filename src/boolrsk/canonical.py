@@ -12,19 +12,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import gt, lt
 
+from ._value import Value
 from .errors import DomainError, NotBooleanError
 from .words import Heap, RunWord, Word, evaluate
 
 
-# The one dataclass value type: the benchmark smoke test calls dataclasses.replace on it.
+# The one dataclass value type: the benchmark smoke test calls dataclasses.replace on
+# it.  The dataclass methods replace Value's; Value gives it ``_trusted``.
 @dataclass(frozen=True)
-class CanonicalWord:
+class CanonicalWord(Value):
     """A reduced word stored as its run partition: decreasing runs (smallest
     letters first), then increasing runs (largest letters first).
 
     The stored partition is authoritative; consumers read run endpoints from
     it rather than re-decomposing the flat word.
     """
+
+    _fields = ("dec_runs", "inc_runs", "n")
 
     dec_runs: tuple[RunWord, ...]
     inc_runs: tuple[RunWord, ...]
@@ -58,16 +62,6 @@ class CanonicalWord:
             raise ValueError("decreasing runs must be ordered smaller letters first")
         if any(map(lt, inc_first, inc_last[1:])):
             raise ValueError("increasing runs must be ordered larger letters first")
-
-    @classmethod
-    def _trusted(cls, dec_runs, inc_runs, n):
-        """The canonical word with these fields, built with no checks, as
-        ``Value._trusted`` builds the other value types."""
-        word = object.__new__(cls)
-        object.__setattr__(word, "dec_runs", dec_runs)
-        object.__setattr__(word, "inc_runs", inc_runs)
-        object.__setattr__(word, "n", n)
-        return word
 
     @property
     def runs(self) -> tuple[RunWord, ...]:

@@ -268,7 +268,9 @@ class Permutation(Value):
         """
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-        product = _product_of_letters(letters, self.n)
+        from .words import Word, evaluate  # here, so calls that apply no word load no word code
+
+        product = evaluate(Word(tuple(letters), self.n))
         return self * product if side == "right" else product * self
 
     def lex_least_lis(self) -> Subsequence:
@@ -311,17 +313,6 @@ class Permutation(Value):
 
     def __str__(self) -> str:
         return "".join(str(v) if v <= 9 else f"({v})" for v in self.entries)
-
-
-def _product_of_letters(letters: Sequence[int], n: int) -> Permutation:
-    """The permutation s_{i_1} ... s_{i_k} for the given letter sequence."""
-    entries = list(range(1, n + 1))
-    for a in letters:
-        if not 1 <= a <= n - 1:
-            raise ValueError(f"letter {a} out of range 1..{n - 1}")
-        entries[a - 1], entries[a] = entries[a], entries[a - 1]
-    # swaps of 1..n, n >= 1 for every caller: a word's degree and a permutation's
-    return Permutation._trusted(tuple(entries))
 
 
 def from_one_line(values: Sequence[int]) -> Permutation:

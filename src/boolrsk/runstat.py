@@ -145,6 +145,15 @@ def _apply_move(values: list[int], move: UlamMove) -> None:
 
 
 def apply_ulam_move(w: Permutation, move: UlamMove) -> Permutation:
+    """w with ``move`` applied.  The move's position and value must lie in
+    1..n, and the value must not be the one that moves."""
+    moved = w(move.from_position)
+    after = move.insert_after_value
+    if after is not None:
+        if not 1 <= after <= w.n:
+            raise ValueError(f"value {after} out of range 1..{w.n}")
+        if after == moved:
+            raise ValueError(f"value {after} cannot be inserted after itself")
     values = list(w.entries)
     _apply_move(values, move)
     # one entry moved: the same values in another order

@@ -141,6 +141,8 @@ class Heap(Value):
         for e in self.elements:
             if not 1 <= e <= self.n - 1:
                 raise ValueError(f"element {e} out of range 1..{self.n - 1}")
+        if self.n < 1:
+            raise ValueError("degree must be at least 1")
 
     def precedes(self, x: int, y: int) -> bool:
         """True when x is forced before y (consecutive letters only)."""
@@ -153,9 +155,13 @@ def evaluate(word: Word) -> Permutation:
     >>> str(evaluate(Word((4, 2, 3, 2, 4, 1), 5)))
     '51342'
     """
-    from .permutation import _product_of_letters  # here, so bij calls load no permutation code
+    from .permutation import Permutation  # here, so bij calls load no permutation code
 
-    return _product_of_letters(word.letters, word.n)
+    entries = list(range(1, word.n + 1))
+    for a in word.letters:
+        entries[a - 1], entries[a] = entries[a], entries[a - 1]
+    # swaps of 1..n at the word's letters, which lie in 1..n-1
+    return Permutation._trusted(tuple(entries))
 
 
 def is_reduced(word: Word) -> bool:
@@ -188,9 +194,14 @@ def run_decomposition(word: Word) -> tuple[RunWord, ...]:
     return tuple(runs)
 
 
-def _insertion_swaps(entries: tuple[int, ...]) -> list[int]:
-    """The letters of the swaps one insertion-sort pass makes, in order."""
-    entries = list(entries)
+def reduced_word_of(w: Permutation) -> Word:
+    """One reduced word for w, found by repeatedly undoing the leftmost descent.
+
+    Undoing the leftmost descent again and again is insertion sort: the
+    leftmost descent always sits just left of the entry being inserted.  So
+    one insertion-sort pass records the same swaps in O(n + l(w)).
+    """
+    entries = list(w.entries)
     swaps = []
     for j in range(1, len(entries)):
         v = entries[j]
@@ -200,33 +211,25 @@ def _insertion_swaps(entries: tuple[int, ...]) -> list[int]:
             swaps.append(k)
             k -= 1
         entries[k] = v
-    return swaps
-
-
-def reduced_word_of(w: Permutation) -> Word:
-    """One reduced word for w, found by repeatedly undoing the leftmost descent.
-
-    Undoing the leftmost descent again and again is insertion sort: the
-    leftmost descent always sits just left of the entry being inserted.  So
-    one insertion-sort pass records the same swaps in O(n + l(w)).
-    """
     # an insertion sort of n entries swaps at positions 1..n-1 only
-    return Word._trusted(tuple(reversed(_insertion_swaps(w.entries))), w.n)
+    return Word._trusted(tuple(reversed(swaps)), w.n)
 
 
 def heap_of(w: Permutation) -> Heap:
-    """The heap of a boolean permutation.
+    """The heap of a boolean permutation, read off its entries in O(n).
 
-    Rejects non-boolean input; for boolean w one reduced word determines the
-    orientation of every consecutive pair.  The letters' positions in that
-    word are read off the insertion-sort swaps, with no ``Word`` built.
+    Rejects non-boolean input.  For support letters a and a+1, a comes before
+    a+1 exactly when w(a+1) > a+1: only the letters a and a+1 move the entry
+    at position a+1, and the one applied last sets it; letter a brings an
+    entry from below, letter a+1 one from above.
     """
     w.require_boolean()
-    position = {a: i for i, a in enumerate(reversed(_insertion_swaps(w.entries)))}
-    covers = {(a, a + 1) if position[a] < position[a + 1] else (a + 1, a)
-              for a in position if a + 1 in position}
-    # swap letters lie in 1..n-1, and each pair of consecutive ones gets one cover
-    return Heap._trusted(frozenset(position), frozenset(covers), w.n)
+    support = w.support()
+    # entries[a] is w(a+1)
+    covers = {(a, a + 1) if v > a + 1 else (a + 1, a)
+              for a, v in enumerate(w.entries) if a in support and a + 1 in support}
+    # support letters lie in 1..n-1, and each pair of consecutive ones gets one cover
+    return Heap._trusted(support, frozenset(covers), w.n)
 
 
 def linear_extensions(heap: Heap) -> Iterator[Word]:
@@ -239,10 +242,6 @@ def linear_extensions(heap: Heap) -> Iterator[Word]:
     tries the next available one above it, so no recursion depth grows with
     the heap.
     """
-    if not heap.elements:
-        # no element bounds the degree, which the checked constructor requires to be >= 1
-        yield Word((), heap.n)
-        return
     above: dict[int, list[int]] = {e: [] for e in heap.elements}
     waiting = dict.fromkeys(heap.elements, 0)  # lower covers not yet placed
     for x, y in heap.covers:

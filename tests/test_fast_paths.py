@@ -424,7 +424,7 @@ def assert_canonical_matches_slow_paths(word, checked=True):
 
 class TestOrientationScan:
     """The one-pass orientation scan behind ``canonical_from_heap`` and
-    ``canonical_from_word``, and the heap read off insertion-sort swaps."""
+    ``canonical_from_word``, and the heap read off the entries."""
 
     def test_every_boolean_permutation_up_to_degree_8(self):
         for n in range(1, 9):
@@ -438,7 +438,7 @@ class TestOrientationScan:
             rng.shuffle(letters)
             assert_canonical_matches_slow_paths(Word(tuple(letters), n), checked=n <= 100)
 
-    @pytest.mark.parametrize("n", [100, 250, 500, 1000])
+    @pytest.mark.parametrize("n", [100, 250, 500, 1000, 2000])
     def test_heap_of_matches_leftmost_descent_word(self, n):
         rng = random.Random(6007 + n)
         for letters in (rng.sample(range(1, n), (n - 1) * 3 // 5), range(1, n)):

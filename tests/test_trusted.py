@@ -31,7 +31,6 @@ from boolrsk import (
     tableau_from_binary_word,
 )
 from boolrsk._value import Value
-from boolrsk.canonical import CanonicalWord
 from boolrsk.rsk import partial_insertion
 from boolrsk.runstat import UlamMove
 
@@ -58,12 +57,19 @@ BOUNDARY = [
     pytest.param(lambda: W * U, ValueError, "cannot compose degrees 3 and 4", id="degrees 3 * 4"),
     pytest.param(lambda: U * W, ValueError, "cannot compose degrees 4 and 3", id="degrees 4 * 3"),
     pytest.param(
-        lambda: apply_ulam_move(W, UlamMove(1, 9)), ValueError, "9 is not in list",
+        lambda: apply_ulam_move(W, UlamMove(1, 9)), ValueError, "value 9 out of range 1..3",
         id="ulam move after a value not in w",
     ),
     pytest.param(
-        lambda: apply_ulam_move(W, UlamMove(1, 2)), ValueError, "2 is not in list",
-        id="ulam move after the moved value",
+        lambda: apply_ulam_move(W, UlamMove(1, 2)), ValueError,
+        "value 2 cannot be inserted after itself", id="ulam move after the moved value",
+    ),
+    *(
+        pytest.param(
+            lambda p=p: apply_ulam_move(W, UlamMove(p, None)), ValueError,
+            f"position {p} out of range 1..3", id=f"ulam move from position {p}",
+        )
+        for p in (0, -1, 4)
     ),
     pytest.param(
         lambda: partial_insertion(W, 0), ValueError, "prefix length 0 out of range 1..3",
@@ -88,6 +94,10 @@ BOUNDARY = [
     pytest.param(
         lambda: list(linear_extensions(Heap(frozenset(), frozenset(), 0))), ValueError,
         "degree must be at least 1", id="linear extensions of an empty heap of degree 0",
+    ),
+    pytest.param(
+        lambda: Heap(frozenset(), frozenset(), 0), ValueError, "degree must be at least 1",
+        id="empty heap of degree 0",
     ),
     pytest.param(
         lambda: list(odd_run_words(0)), ValueError, "degree must be at least 1",
@@ -132,8 +142,8 @@ def checked_builds(monkeypatch):
 
         return classmethod(build)
 
+    # CanonicalWord, the one dataclass, inherits ``_trusted`` from Value too
     monkeypatch.setattr(Value, "_trusted", checking(Value._trusted.__func__))
-    monkeypatch.setattr(CanonicalWord, "_trusted", checking(CanonicalWord._trusted.__func__))
     return built
 
 

@@ -37,6 +37,16 @@ def test_every_trusted_call_in_src_has_a_comment_above_it():
     assert calls > 0
 
 
+def test_value_alone_defines_trusted():
+    # one unchecked builder, which every value type inherits
+    defining = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        count = path.read_text(encoding="utf-8").count("def _trusted(")
+        if count:
+            defining[path.relative_to(PACKAGE).as_posix()] = count
+    assert defining == {"_value.py": 1}
+
+
 def test_the_input_boundary_never_names_trusted():
     assert len(BOUNDARY) > 2
     for path in BOUNDARY:

@@ -5,12 +5,14 @@ The reprs and messages below are those the types had as frozen dataclasses;
 all but ``CanonicalWord`` are plain classes now."""
 
 import copy
+import dataclasses
 import inspect
 import pickle
 import re
 
 import pytest
 
+from boolrsk._value import Value
 from boolrsk.acceptance import Criterion
 from boolrsk.canonical import CanonicalWord
 from boolrsk.errors import ParseError
@@ -245,6 +247,20 @@ def test_validation_messages(cls, values, message):
         cls(*values)
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         cls(**dict(zip(field_names(cls), values)))
+
+
+def test_canonical_word_is_a_value_and_still_a_dataclass():
+    # the README promises dataclasses.replace, fields and asdict on CanonicalWord
+    word = CanonicalWord(runs((2, 1)), runs((3, 4)), 5)
+    assert isinstance(word, Value) and dataclasses.is_dataclass(word)
+    assert [f.name for f in dataclasses.fields(word)] == ["dec_runs", "inc_runs", "n"]
+    assert dataclasses.asdict(word) == {"dec_runs": runs((2, 1)), "inc_runs": runs((3, 4)), "n": 5}
+    assert dataclasses.replace(word, inc_runs=()) == CanonicalWord(runs((2, 1)), (), 5)
+    with pytest.raises(ValueError, match="^letter 3 out of range 1..2$"):
+        dataclasses.replace(word, n=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        word.n = 6
+    assert CanonicalWord._trusted(*dataclasses.astuple(word)) == word
 
 
 # (text, the ParseError message, its token position)

@@ -28,9 +28,11 @@ from boolrsk import (
 from oracles import (
     linear_extension_count,
     linear_extensions_brute,
+    reduced_word_by_leftmost_descent,
     reduced_word_count,
     reduced_words_by_filtering,
 )
+from test_fast_paths import heap_from_word
 
 
 def P(*values):
@@ -245,13 +247,12 @@ class TestHeap:
                         assert index[x] < index[y]
 
     def test_orientation_is_read_off_the_entries(self):
-        # a precedes a + 1 exactly when w(a + 1) > a + 1
+        # heap_of applies the rule "a precedes a + 1 exactly when w(a + 1) > a + 1";
+        # the oracle reads the order off a word found by undoing leftmost descents
         for n in range(1, 9):
             for w in boolean_permutations(n):
-                heap = heap_of(w)
-                for a in heap.elements:
-                    if a + 1 in heap.elements:
-                        assert heap.precedes(a, a + 1) == (w(a + 1) > a + 1), (w, a)
+                word = reduced_word_by_leftmost_descent(w.entries)
+                assert heap_of(w) == heap_from_word(word, n), w
 
 
 class TestLinearExtensions:
