@@ -21,6 +21,9 @@ class Value:
         checks.  For library results that are valid by construction only; each
         field must already have the type the checked constructor stores."""
         value = object.__new__(cls)
+        if len(fields) == 1:  # most values, runs above all: one store, no zip
+            object.__setattr__(value, cls._fields[0], fields[0])
+            return value
         for name, field in zip(cls._fields, fields):
             object.__setattr__(value, name, field)
         return value

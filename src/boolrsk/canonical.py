@@ -62,6 +62,8 @@ class CanonicalWord(Value):
             raise ValueError("decreasing runs must be ordered smaller letters first")
         if any(map(lt, inc_first, inc_last[1:])):
             raise ValueError("increasing runs must be ordered larger letters first")
+        if n < 1:
+            raise ValueError("degree must be at least 1")
 
     @property
     def runs(self) -> tuple[RunWord, ...]:
@@ -86,23 +88,28 @@ def _canonical_from_orientation(orient: list, n: int) -> CanonicalWord:
     A run starts at the least letter a not yet read and goes on while the sign
     repeats, up to the first letter b with another: the singleton a for sign
     0, the decreasing run b..a for -1, the increasing run a..b for +1.  One
-    upward scan reads every run, O(n).
+    upward scan reads every run and goes on from b + 1; each run's letters
+    are a slice of one tuple 0..n-1.  O(n).
     """
+    letters = tuple(range(n))
     dec: list[RunWord] = []
     inc: list[RunWord] = []
-    b = 0
-    for a, s in enumerate(orient):
-        if a <= b or s is None:
+    a = 1  # orient[0] is None: there is no letter 0
+    while a < n:
+        s = orient[a]
+        if s is None:
+            a += 1
             continue
         b = a
         while orient[b] == s != 0:
             b += 1
         if s > 0:
             # consecutive letters a..b, rising
-            inc.append(RunWord._trusted(tuple(range(a, b + 1))))
+            inc.append(RunWord._trusted(letters[a : b + 1]))
         else:
             # consecutive letters b..a, falling
-            dec.append(RunWord._trusted(tuple(range(b, a - 1, -1))))
+            dec.append(RunWord._trusted(letters[b : a - 1 : -1]))
+        a = b + 1
     inc.reverse()
     # disjoint runs of letters below n: decreasing ones rising, increasing ones falling
     return CanonicalWord._trusted(tuple(dec), tuple(inc), n)

@@ -14,7 +14,6 @@ from collections.abc import Iterator, Sequence
 from operator import sub
 
 from ._value import Value
-from .errors import NotBooleanError
 
 _PATTERN_3412 = (3, 4, 1, 2)
 
@@ -206,30 +205,37 @@ class Permutation(Value):
                 low = v
         return True
 
-    def is_boolean(self) -> bool:
-        """True when w avoids both 321 and 3412, i.e. some (hence every) reduced
-        word for w uses all distinct letters.
+    def _boolean_support(self) -> frozenset[int] | None:
+        """supp(w) when w avoids both 321 and 3412, else None.
 
         Every reduced word uses each support letter at least once, so w is
         boolean exactly when l(w) = |supp(w)|.  On a 321-avoider the depth
         equals l(w), so the test is depth(w) = |supp(w)| and w avoids 321:
         three passes, O(n), with no inversion count and no pattern search.
         """
-        return self.depth() == len(self.support()) and self.is_fully_commutative()
+        support = self.support()
+        if self.depth() == len(support) and self.is_fully_commutative():
+            return support
+        return None
+
+    def is_boolean(self) -> bool:
+        """True when w avoids both 321 and 3412, i.e. some (hence every) reduced
+        word for w uses all distinct letters; O(n), by ``_boolean_support``."""
+        return self._boolean_support() is not None
 
     def boolean_witness(self) -> tuple[str, tuple[int, ...]] | None:
         """A (pattern, positions) pair showing why w is not boolean, or None.
 
         The positions are the lexicographically least occurrence of 321 if w
-        contains 321, and of 3412 otherwise.  Boolean input returns None after
-        the O(n) test ``is_boolean``.  The least 321 is found in O(n) by
-        ``_least_321``; only a 321-avoiding rejection pays for the
-        backtracking 3412 search.
+        contains 321, and of 3412 otherwise.  The 321 test comes first, so it
+        runs once; a 321-avoider is then boolean exactly when its depth is
+        |supp(w)|.  The least 321 is found in O(n) by ``_least_321``; only a
+        321-avoiding rejection pays for the backtracking 3412 search.
         """
-        if self.is_boolean():
-            return None
         if not self.is_fully_commutative():
             return ("321", self._least_321())
+        if self.depth() == len(self.support()):
+            return None
         return ("3412", self._pattern_witness(_PATTERN_3412))
 
     def _least_321(self) -> tuple[int, int, int]:
@@ -251,11 +257,6 @@ class Permutation(Value):
         j = next(p for p in range(i + 1, n) if low[p + 1] < w[p] < w[i])
         k = next(p for p in range(j + 1, n) if w[p] < w[j])
         return (i + 1, j + 1, k + 1)
-
-    def require_boolean(self) -> None:
-        witness = self.boolean_witness()
-        if witness is not None:
-            raise NotBooleanError(*witness)
 
     def apply_word(self, letters: Sequence[int], side: str) -> "Permutation":
         """Multiply by the product of adjacent transpositions named by ``letters``.

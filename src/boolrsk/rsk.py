@@ -95,28 +95,27 @@ class StandardTableau(Value):
         return self.rows[1] if len(self.rows) > 1 else ()
 
 
-def _bump(rows: list[list[int]], value: int) -> int:
-    """Insert ``value`` by row bumping; return the index of the row that grew."""
-    r = 0
-    while True:
-        if r == len(rows):
-            rows.append([value])
-            return r
-        row = rows[r]
-        k = bisect.bisect_right(row, value)
-        if k == len(row):
-            row.append(value)
-            return r
-        value, row[k] = row[k], value
-        r += 1
-
-
-def _insert(values) -> list[list[int]]:
-    """The rows after inserting ``values`` in order into an empty tableau."""
-    rows: list[list[int]] = []
-    for value in values:
-        _bump(rows, value)
-    return rows
+def _insert(values) -> tuple[list[list[int]], list[list[int]]]:
+    """The insertion and recording rows after inserting ``values`` in order
+    into an empty tableau.  A value goes to the end of the first row whose
+    last entry it exceeds; each row before that one swaps it for its least
+    larger entry, which goes on to the next row."""
+    p_rows: list[list[int]] = []
+    q_rows: list[list[int]] = []
+    for step, value in enumerate(values, start=1):
+        r = 0
+        for row in p_rows:
+            if value > row[-1]:
+                row.append(value)
+                q_rows[r].append(step)
+                break
+            k = bisect.bisect_right(row, value)
+            value, row[k] = row[k], value
+            r += 1
+        else:  # the value starts a new row
+            p_rows.append([value])
+            q_rows.append([step])
+    return p_rows, q_rows
 
 
 def rsk(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
@@ -127,27 +126,15 @@ def rsk(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
     >>> P.rows
     ((1, 2), (3, 4))
     """
-    p_rows: list[list[int]] = [[]]
-    q_rows: list[list[int]] = [[]]
-    row1 = p_rows[0]
-    for step, value in enumerate(w.entries, start=1):
-        if row1 and value < row1[-1]:
-            r = _bump(p_rows, value)
-            if r == len(q_rows):
-                q_rows.append([])
-        else:  # the value extends row one
-            row1.append(value)
-            r = 0
-        q_rows[r].append(step)
     # row insertion of n >= 1 distinct values keeps both tableaux standard
-    return tuple(StandardTableau._trusted(tuple(map(tuple, rows))) for rows in (p_rows, q_rows))
+    return tuple(StandardTableau._trusted(tuple(map(tuple, rows))) for rows in _insert(w.entries))
 
 
 def partial_insertion(w: Permutation, i: int) -> StandardTableau:
     """The insertion tableau of the prefix w(1), ..., w(i)."""
     if not 1 <= i <= w.n:
         raise ValueError(f"prefix length {i} out of range 1..{w.n}")
-    return StandardTableau(_insert(w.entries[:i]))
+    return StandardTableau(_insert(w.entries[:i])[0])
 
 
 def shape_of(w: Permutation) -> Shape:
@@ -157,7 +144,7 @@ def shape_of(w: Permutation) -> Shape:
     the first part of its conjugate is the length of a longest decreasing one.
     """
     # the row lengths of an insertion tableau
-    return Shape._trusted(tuple(map(len, _insert(w.entries))))
+    return Shape._trusted(tuple(map(len, _insert(w.entries)[0])))
 
 
 def row2_from_canonical(canonical: CanonicalWord) -> tuple[frozenset[int], frozenset[int]]:

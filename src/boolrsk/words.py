@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections.abc import Iterator
+from itertools import repeat
 from operator import sub
 
 from ._value import Value
-from .errors import DegreeLimitError, DomainError
+from .errors import DegreeLimitError, DomainError, NotBooleanError
 
 ENUMERATION_DEGREE_LIMIT = 9
 _RUN_STEPS = (frozenset({1}), frozenset({-1}))  # the steps a run of two or more letters may take
@@ -30,11 +31,12 @@ class Word(Value):
     def __init__(self, letters: tuple[int, ...], n: int) -> None:
         object.__setattr__(self, "letters", tuple(letters))
         object.__setattr__(self, "n", n)
-        if self.n < 1:
+        if n < 1:
             raise ValueError("degree must be at least 1")
+        top = n - 1
         for a in self.letters:
-            if not 1 <= a <= self.n - 1:
-                raise ValueError(f"letter {a} out of range 1..{self.n - 1}")
+            if not isinstance(a, int) or not 1 <= a <= top:
+                raise ValueError(f"letter {a} out of range 1..{top}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -56,7 +58,9 @@ class RunWord(Value):
         object.__setattr__(self, "letters", letters)
         if not letters:
             raise ValueError("run must be nonempty")
-        if len(letters) > 1 and set(map(sub, letters[1:], letters)) not in _RUN_STEPS:
+        if not all(map(isinstance, letters, repeat(int))) or (
+            len(letters) > 1 and set(map(sub, letters[1:], letters)) not in _RUN_STEPS
+        ):
             raise ValueError(f"not a run: {letters}")
 
     @property
@@ -139,7 +143,7 @@ class Heap(Value):
             if (y, x) in self.covers:
                 raise ValueError(f"both orientations present for {{{x}, {y}}}")
         for e in self.elements:
-            if not 1 <= e <= self.n - 1:
+            if not isinstance(e, int) or not 1 <= e <= self.n - 1:
                 raise ValueError(f"element {e} out of range 1..{self.n - 1}")
         if self.n < 1:
             raise ValueError("degree must be at least 1")
@@ -218,16 +222,18 @@ def reduced_word_of(w: Permutation) -> Word:
 def heap_of(w: Permutation) -> Heap:
     """The heap of a boolean permutation, read off its entries in O(n).
 
-    Rejects non-boolean input.  For support letters a and a+1, a comes before
-    a+1 exactly when w(a+1) > a+1: only the letters a and a+1 move the entry
-    at position a+1, and the one applied last sets it; letter a brings an
-    entry from below, letter a+1 one from above.
+    One boolean test rejects non-boolean input and returns the support, the
+    heap's elements.  For support letters a and a+1, a comes before a+1
+    exactly when w(a+1) > a+1: only the letters a and a+1 move the entry at
+    position a+1, and the one applied last sets it; letter a brings an entry
+    from below, letter a+1 one from above.
     """
-    w.require_boolean()
-    support = w.support()
-    # entries[a] is w(a+1)
-    covers = {(a, a + 1) if v > a + 1 else (a + 1, a)
-              for a, v in enumerate(w.entries) if a in support and a + 1 in support}
+    support = w._boolean_support()
+    if support is None:
+        raise NotBooleanError(*w.boolean_witness())
+    entries = w.entries  # entries[a] is w(a+1)
+    covers = {(a, a + 1) if entries[a] > a + 1 else (a + 1, a)
+              for a in support if a + 1 in support}
     # support letters lie in 1..n-1, and each pair of consecutive ones gets one cover
     return Heap._trusted(support, frozenset(covers), w.n)
 

@@ -5,6 +5,7 @@ linear extensions, pattern search, step map, optimal run word and Ulam moves
 against the slow paths they replaced, plus guards against a return to a cubic,
 quadratic or span-bound cost and to recursion that grows with the input."""
 
+import functools
 import itertools
 import random
 import time
@@ -102,11 +103,18 @@ def assert_matches_slow_paths(w, witness, check_rejection=True):
         assert (caught.value.pattern, caught.value.positions) == witness
 
 
+@functools.lru_cache(maxsize=None)
+def small_group_witnesses(n):
+    """(w, boolean_witness_by_patterns(w)) for every w in S_n, computed once
+    for the tests that share it."""
+    return tuple((w, boolean_witness_by_patterns(w.entries)) for w in all_permutations(n))
+
+
 def test_exhaustive_small_groups():
     # S_8 checks heap_of on its boolean elements only, to keep the test short
     for n in range(1, 9):
-        for w in all_permutations(n):
-            assert_matches_slow_paths(w, boolean_witness_by_patterns(w.entries), n < 8)
+        for w, witness in small_group_witnesses(n):
+            assert_matches_slow_paths(w, witness, n < 8)
 
 
 def test_random_boolean_degrees_100_to_150():
@@ -192,6 +200,65 @@ class TestBooleanByDepth:
                 assert w.is_boolean() == is_boolean_by_length(w) == boolean
                 assert w.is_fully_commutative() == avoids_321_by_suffix_min(w.entries)
                 assert w.is_fully_commutative() == avoids_321
+
+
+def assert_shared_boolean_test(w, witness):
+    """``is_boolean``, ``boolean_witness`` and ``heap_of``, which share one
+    boolean test, against the oracles.  ``witness`` is what
+    ``boolean_witness_by_patterns`` returns for w.  The support and the heap
+    come from the leftmost-descent reduced word, whose letters are distinct
+    exactly when w is boolean; on boolean w the canonical words read off the
+    heap and off that word must agree."""
+    letters = reduced_word_by_leftmost_descent(w.entries)
+    boolean = witness is None
+    assert (len(set(letters)) == len(letters)) == boolean, w
+    assert w.is_boolean() == boolean, w
+    assert w.boolean_witness() == witness, w
+    assert w._boolean_support() == (frozenset(letters) if boolean else None), w
+    if boolean:
+        heap = heap_of(w)
+        assert heap == heap_from_word(letters, w.n), w
+        assert canonical_from_heap(heap) == canonical_from_word(Word(letters, w.n)), w
+    else:
+        with pytest.raises(NotBooleanError) as caught:
+            heap_of(w)
+        assert (caught.value.pattern, caught.value.positions) == witness, w
+
+
+def block_then_boolean(rng, n, share):
+    """A 321-avoider of degree n containing 3412, and its witness: a random
+    block of degree 4 to 8 whose least 3412 starts at its first entry, then a
+    boolean permutation of the larger values using about ``share`` of its
+    letters.  In this direct sum a 3412 that starts in the block lies in it,
+    so the least 3412 is the block's, and no search walks the tail for each
+    of its first entries."""
+    while True:
+        k = rng.randint(4, 8)
+        block = tuple(rng.sample(range(1, k + 1), k))
+        witness = boolean_witness_by_patterns(block)
+        if witness is not None and witness[0] == "3412" and witness[1][0] == 1:
+            break
+    m = n - k
+    tail = boolean_from_shuffled_letters(rng, m, rng.sample(range(1, m), round(share * (m - 1))))
+    return Permutation(block + tuple(v + k for v in tail.entries)), witness
+
+
+class TestSharedBooleanTest:
+    """One boolean test serves ``is_boolean`` and ``heap_of``, and returns the
+    support that ``heap_of`` keeps; ``boolean_witness`` tests 321 first."""
+
+    def test_every_permutation_up_to_degree_8(self):
+        for n in range(1, 9):
+            for w, witness in small_group_witnesses(n):
+                assert_shared_boolean_test(w, witness)
+
+    @pytest.mark.parametrize("n", [100, 250, 500, 1000, 2000])
+    def test_seeded_boolean_and_3412_rejects(self, n):
+        rng = random.Random(8101 + n)
+        for share in (1.0, 0.6):
+            letters = rng.sample(range(1, n), round(share * (n - 1)))
+            assert_shared_boolean_test(boolean_from_shuffled_letters(rng, n, letters), None)
+            assert_shared_boolean_test(*block_then_boolean(rng, n, share))
 
 
 def test_degree_2000_boolean_success_path_is_fast():

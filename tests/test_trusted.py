@@ -14,9 +14,12 @@ import pytest
 
 from boolrsk import (
     BinaryWord,
+    CanonicalWord,
     DomainError,
     Heap,
     Permutation,
+    RunWord,
+    Word,
     all_permutations,
     all_reduced_words,
     apply_ulam_move,
@@ -107,6 +110,47 @@ BOUNDARY = [
         lambda: W.apply_word((3,), "right"), ValueError, "letter 3 out of range 1..2",
         id="apply_word with a letter out of range",
     ),
+    pytest.param(
+        lambda: CanonicalWord((), (), 0), ValueError, "degree must be at least 1",
+        id="empty canonical word of degree 0",
+    ),
+    pytest.param(
+        lambda: CanonicalWord((RunWord((1,)),), (), 0), ValueError, "letter 1 out of range 1..-1",
+        id="canonical word of degree 0 with a letter",
+    ),
+    pytest.param(
+        lambda: Word((1.5,), 3), ValueError, "letter 1.5 out of range 1..2", id="Word((1.5,), 3)"
+    ),
+    pytest.param(
+        lambda: Word((1, 2.0), 4), ValueError, "letter 2.0 out of range 1..3",
+        id="Word with an integral float letter",
+    ),
+    pytest.param(
+        lambda: Word(("1",), 3), ValueError, "letter 1 out of range 1..2",
+        id="Word with a string letter",
+    ),
+    pytest.param(
+        lambda: W.apply_word((1.5,), "right"), ValueError, "letter 1.5 out of range 1..2",
+        id="apply_word with a float letter",
+    ),
+    pytest.param(
+        lambda: RunWord((1.5, 2.5)), ValueError, "not a run: (1.5, 2.5)", id="RunWord((1.5, 2.5))"
+    ),
+    pytest.param(
+        lambda: RunWord((2.0,)), ValueError, "not a run: (2.0,)", id="RunWord((2.0,))"
+    ),
+    pytest.param(
+        lambda: RunWord((1, 2.0)), ValueError, "not a run: (1, 2.0)",
+        id="RunWord with an integral float letter",
+    ),
+    pytest.param(
+        lambda: Heap(frozenset({2.0}), frozenset(), 4), ValueError,
+        "element 2.0 out of range 1..3", id="Heap with a float element",
+    ),
+    pytest.param(
+        lambda: Heap(frozenset({1, 2.0}), frozenset({(1, 2.0)}), 4), ValueError,
+        "element 2.0 out of range 1..3", id="Heap with a cover to a float element",
+    ),
 ]
 
 
@@ -184,9 +228,11 @@ def test_reduced_words_by_moves_up_to_degree_5(checked_builds):
 
 
 # (class in test_fast_paths, differential test, the classes it must build
-# through ``_trusted``); the exhaustive checks there that run to S_8 are
-# repeated above on S_1..S_7
+# through ``_trusted``); the other exhaustive checks there that run to S_8
+# are repeated above on S_1..S_7
 RERUN = [
+    (fast.TestSharedBooleanTest, "test_every_permutation_up_to_degree_8",
+     {"Heap", "CanonicalWord", "RunWord"}),
     (fast.TestRunStep, "test_random_near_sorted_and_decreasing_degrees_100_to_500",
      {"Permutation", "RunWord"}),
     (fast.TestRunWordAndUlamMoves, "test_random_degrees_50_to_300", {"Permutation", "RunWord"}),
@@ -221,6 +267,20 @@ def test_canonical_words_at_degree_under_checked_builds(checked_builds, n):
     fast.TestOrientationScan().test_seeded_degrees_at_60_and_100_percent_support(n)
     fast.TestOrientationScan().test_heap_of_matches_leftmost_descent_word(n)
     assert checked_builds.keys() >= {"Heap", "CanonicalWord", "RunWord"}
+
+
+@pytest.mark.parametrize("n", [100, 250, 500, 1000, 2000])
+def test_shared_boolean_test_at_degree_under_checked_builds(checked_builds, n):
+    fast.TestSharedBooleanTest().test_seeded_boolean_and_3412_rejects(n)
+    assert checked_builds.keys() >= {"Heap", "CanonicalWord", "RunWord"}
+
+
+def test_bool_letters_stay_accepted():
+    # as in Permutation, where True is the value 1
+    assert Permutation((True,)).entries == (True,)
+    assert Word((True, 2), 3).letters == (True, 2)
+    assert RunWord((True, 2)).direction == "increasing"
+    assert Heap(frozenset({True}), frozenset(), 2).elements == {1}
 
 
 def test_bijection_up_to_size_12(checked_builds):
