@@ -305,7 +305,8 @@ CRITERIA: tuple[Criterion, ...] = (
 
 
 def run(numbers: Sequence[int] | None = None, out=None) -> bool:
-    """Run the selected criteria (all by default), printing one line each."""
+    """Run the selected criteria (all by default), printing one line each.  A
+    criterion fails when its check raises AssertionError or overruns its budget."""
     out = out or sys.stdout
     chosen = [c for c in CRITERIA if numbers is None or c.number in numbers]
     all_ok = True
@@ -327,7 +328,6 @@ def run(numbers: Sequence[int] | None = None, out=None) -> bool:
                     file=out,
                 )
         except AssertionError as exc:
-            elapsed = time.perf_counter() - start
             print(f"FAIL {criterion.number}. {criterion.title}: {exc}", file=out)
             all_ok = False
     return all_ok

@@ -38,6 +38,8 @@ class CanonicalWord(Value):
         # Checks in C-level passes; a loop runs only to name the first violation.
         # A run's least and greatest letters are its two ends.
         n = self.n
+        if not isinstance(n, int):
+            raise ValueError(f"degree {n} is not an integer")
         letters = [a for run in self.dec_runs + self.inc_runs for a in run.letters]
         distinct = set(letters)
         if len(distinct) < len(letters) or not distinct <= set(range(1, n)):

@@ -1,13 +1,13 @@
 """``boolrsk rsk``: the insertion and recording tableaux of a permutation."""
 
-from ..rsk import rsk, shape_of
+from ..rsk import rsk
 from ..textio import format_tableau, space_separated
 from . import _tableau_payload
 
 
 def run(w):
     p, q = rsk(w)
-    shape = shape_of(w)
+    shape = p.shape()
     result = {"P": _tableau_payload(p), "Q": _tableau_payload(q), "shape": list(shape.parts)}
     lines = [
         "P:",

@@ -14,6 +14,7 @@ from collections.abc import Iterator, Sequence
 from operator import sub
 
 from ._value import Value
+from .textio import format_letters
 
 _PATTERN_3412 = (3, 4, 1, 2)
 
@@ -64,14 +65,14 @@ class Permutation(Value):
 
     def __call__(self, i: int) -> int:
         """Apply the permutation to a position: w(i)."""
-        if not 1 <= i <= self.n:
+        if not (isinstance(i, int) and 1 <= i <= self.n):
             raise ValueError(f"position {i} out of range 1..{self.n}")
         return self.entries[i - 1]
 
     def position_of(self, value: int) -> int:
         """The position holding ``value``, i.e. the inverse permutation applied
         to it; one O(n) scan, as no inverse table is kept."""
-        if not 1 <= value <= self.n:
+        if not (isinstance(value, int) and 1 <= value <= self.n):
             raise ValueError(f"value {value} out of range 1..{self.n}")
         return self.entries.index(value) + 1
 
@@ -313,7 +314,7 @@ class Permutation(Value):
         return Subsequence(tuple(positions), tuple(values))
 
     def __str__(self) -> str:
-        return "".join(str(v) if v <= 9 else f"({v})" for v in self.entries)
+        return format_letters(self.entries)
 
 
 def from_one_line(values: Sequence[int]) -> Permutation:

@@ -27,6 +27,8 @@ class Shape(Value):
 
     def __init__(self, parts: tuple[int, ...]) -> None:
         object.__setattr__(self, "parts", tuple(parts))
+        if not all(isinstance(a, int) for a in self.parts):
+            raise ValueError(f"parts {self.parts} not all integers")
         for a, b in zip(self.parts, self.parts[1:]):
             if b > a:
                 raise ValueError(f"parts {self.parts} not weakly decreasing")
@@ -59,6 +61,9 @@ class StandardTableau(Value):
         object.__setattr__(self, "rows", tuple(tuple(row) for row in rows))
         if not self.rows or not all(self.rows):
             raise ValueError("rows must be nonempty")
+        entries = [v for row in self.rows for v in row]
+        if not all(isinstance(v, int) for v in entries):
+            raise ValueError("entries must be integers")
         for upper, lower in zip(self.rows, self.rows[1:]):
             if len(lower) > len(upper):
                 raise ValueError("row lengths must weakly decrease")
@@ -68,7 +73,6 @@ class StandardTableau(Value):
         for row in self.rows:
             if any(map(le, row[1:], row)):
                 raise ValueError(f"row not increasing: {row}")
-        entries = [v for row in self.rows for v in row]
         if len(set(entries)) != len(entries):
             raise ValueError("entries must be distinct")
         if min(entries) < 1:

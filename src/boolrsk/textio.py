@@ -78,17 +78,17 @@ def parse_tableau(text: str) -> StandardTableau:
         raise ParseError(f"not a standard tableau: {exc}") from None
 
 
-def _format_letters(letters: Sequence[int]) -> str:
-    """Letters concatenated, each past 9 in parentheses."""
+def format_letters(letters: Sequence[int]) -> str:
+    """Letters or one-line entries concatenated, each past 9 in parentheses."""
     return "".join([f"{a}" if a <= 9 else f"({a})" for a in letters])
 
 
 def format_flat_word(letters: Sequence[int]) -> str:
-    return "[" + _format_letters(letters) + "]"
+    return "[" + format_letters(letters) + "]"
 
 
 def format_run_word(runs: Iterable[RunWord]) -> str:
-    return "[" + "·".join([_format_letters(run.letters) for run in runs]) + "]"
+    return "[" + "·".join([format_letters(run.letters) for run in runs]) + "]"
 
 
 def format_int_set(values: Iterable[int]) -> str:

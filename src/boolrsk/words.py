@@ -31,6 +31,8 @@ class Word(Value):
     def __init__(self, letters: tuple[int, ...], n: int) -> None:
         object.__setattr__(self, "letters", tuple(letters))
         object.__setattr__(self, "n", n)
+        if not isinstance(n, int):
+            raise ValueError(f"degree {n} is not an integer")
         if n < 1:
             raise ValueError("degree must be at least 1")
         top = n - 1
@@ -135,6 +137,8 @@ class Heap(Value):
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "covers", covers)
         object.__setattr__(self, "n", n)
+        if not isinstance(n, int):
+            raise ValueError(f"degree {n} is not an integer")
         for x, y in self.covers:
             if abs(x - y) != 1:
                 raise ValueError(f"cover ({x}, {y}) does not relate consecutive letters")

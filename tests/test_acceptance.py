@@ -1,28 +1,17 @@
 """The acceptance suite, one test per criterion, each printing a verdict line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines, or ``boolrsk selftest`` for the same checks from the CLI.
+lines, or ``boolrsk selftest`` for the same checks from the CLI.  Both go
+through ``acceptance.run``, which holds the timing and the budget rule.
 """
 
-import time
+import sys
 
 import pytest
 
-from boolrsk.acceptance import CRITERIA
+from boolrsk.acceptance import CRITERIA, run
 
 
 @pytest.mark.parametrize("criterion", CRITERIA, ids=[f"criterion_{c.number}" for c in CRITERIA])
 def test_criterion(criterion):
-    start = time.perf_counter()
-    try:
-        detail = criterion.check()
-    except AssertionError as exc:
-        print(f"FAIL {criterion.number}. {criterion.title}: {exc}")
-        raise
-    elapsed = time.perf_counter() - start
-    print(f"PASS {criterion.number}. {criterion.title} ({detail}; {elapsed:.1f}s)")
-    if criterion.budget_seconds is not None:
-        assert elapsed < criterion.budget_seconds, (
-            f"criterion {criterion.number} took {elapsed:.1f}s, "
-            f"budget {criterion.budget_seconds:.0f}s"
-        )
+    assert run([criterion.number], out=sys.stdout) is True

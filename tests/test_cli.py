@@ -1,6 +1,7 @@
 """Command-line behaviour: output, envelopes, exit codes, round trips."""
 
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -291,6 +292,21 @@ class TestPlainOutput:
             "-c", "import sys, boolrsk.cli; print('boolrsk.acceptance' in sys.modules)"
         )
         assert done.stdout.strip() == "False"
+
+    def test_rsk_inserts_once(self, monkeypatch):
+        # the shape is read off P, not computed by a second insertion
+        rsk_module = importlib.import_module("boolrsk.rsk")  # the package's rsk is the function
+        insert, calls = rsk_module._insert, []
+
+        def counted(values):
+            calls.append(values)
+            return insert(values)
+
+        monkeypatch.setattr(rsk_module, "_insert", counted)
+        code, out, _ = run_cli("rsk", "3 1 4 2")
+        assert code == 0
+        assert out.endswith("shape: 2 2\n")
+        assert calls == [(3, 1, 4, 2)]
 
     def test_ulam_moves(self):
         _, out, _ = run_cli("ulam", "5 1 6 4 2 7 3 8")

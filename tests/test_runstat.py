@@ -1,5 +1,8 @@
 """The step map, run statistic, optimal run words, and Ulam sorting."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from boolrsk import (
@@ -158,6 +161,22 @@ class TestOptimalRunWord:
                 word = Word(tuple(a for run in runs for a in run.letters), n)
                 assert is_reduced(word)
                 assert evaluate(word) == w
+
+    def test_peak_memory_stays_near_the_returned_runs(self):
+        # each step's permutation is dropped once its run is filed, so the peak
+        # stays near the runs returned instead of growing as run(w) * n
+        entries = list(range(1, 1001))
+        random.Random(1000).shuffle(entries)
+        w = Permutation(tuple(entries))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            runs = optimal_run_word(w)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(runs) == run_statistic(w)
+        assert peak - base < 1.5 * (held - base)
 
 
 class TestUlamSort:

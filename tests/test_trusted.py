@@ -19,6 +19,8 @@ from boolrsk import (
     Heap,
     Permutation,
     RunWord,
+    Shape,
+    StandardTableau,
     Word,
     all_permutations,
     all_reduced_words,
@@ -44,7 +46,8 @@ from test_fast_paths import assert_run_word_and_moves_match_slow_paths, assert_s
 W, U = Permutation((2, 3, 1)), identity(4)
 
 # (call, exception type, message): what each boundary raised before results
-# were built without checks, and must still raise
+# were built without checks, and must still raise, and the messages that
+# reject non-integer degrees, positions, values, parts and entries
 BOUNDARY = [
     pytest.param(
         lambda: list(all_permutations(0)), ValueError, "one-line notation must not be empty",
@@ -151,6 +154,43 @@ BOUNDARY = [
         lambda: Heap(frozenset({1, 2.0}), frozenset({(1, 2.0)}), 4), ValueError,
         "element 2.0 out of range 1..3", id="Heap with a cover to a float element",
     ),
+    pytest.param(
+        lambda: Word((1,), 2.5), ValueError, "degree 2.5 is not an integer", id="Word((1,), 2.5)"
+    ),
+    pytest.param(
+        lambda: Heap(frozenset(), frozenset(), 2.5), ValueError, "degree 2.5 is not an integer",
+        id="empty heap of degree 2.5",
+    ),
+    pytest.param(
+        lambda: CanonicalWord((), (), 2.5), ValueError, "degree 2.5 is not an integer",
+        id="empty canonical word of degree 2.5",
+    ),
+    pytest.param(
+        lambda: Shape((1.5,)), ValueError, "parts (1.5,) not all integers", id="Shape((1.5,))"
+    ),
+    pytest.param(
+        lambda: Shape(("a",)), ValueError, "parts ('a',) not all integers", id="Shape(('a',))"
+    ),
+    pytest.param(
+        lambda: StandardTableau(((1.5, 2),)), ValueError, "entries must be integers",
+        id="StandardTableau(((1.5, 2),))",
+    ),
+    pytest.param(
+        lambda: Permutation((2, 1))(1.5), ValueError, "position 1.5 out of range 1..2",
+        id="w(1.5)",
+    ),
+    pytest.param(
+        lambda: Permutation((2, 1)).position_of(1.5), ValueError, "value 1.5 out of range 1..2",
+        id="position_of(1.5)",
+    ),
+    pytest.param(
+        lambda: apply_ulam_move(W, UlamMove(1.5, None)), ValueError,
+        "position 1.5 out of range 1..3", id="ulam move from position 1.5",
+    ),
+    pytest.param(
+        lambda: apply_ulam_move(Permutation((2, 1, 3)), UlamMove(1, 2.5)), ValueError,
+        "value 2.5 out of range 1..3", id="ulam move after value 2.5",
+    ),
 ]
 
 
@@ -160,6 +200,13 @@ def test_the_boundary_rejects_as_before(call, kind, message):
         call()
     assert type(caught.value) is kind
     assert str(caught.value) == message
+
+
+def test_a_bool_degree_passes_as_an_integer_does():
+    # as Permutation takes bool entries: bool is a subclass of int
+    assert Word((), True).n is True
+    assert Heap(frozenset(), frozenset(), True).n is True
+    assert CanonicalWord((), (), True).n is True
 
 
 @pytest.fixture
