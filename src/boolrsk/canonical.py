@@ -10,7 +10,6 @@ rows of both RSK tableaux, which is what makes it worth singling out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import gt, lt
 
 from ._value import Value
 from .errors import DomainError, NotBooleanError
@@ -35,34 +34,26 @@ class CanonicalWord(Value):
     n: int
 
     def __post_init__(self) -> None:
-        # Checks in C-level passes; a loop runs only to name the first violation.
-        # A run's least and greatest letters are its two ends.
-        n = self.n
+        # One pass per rule, raising at its first violation; a run's ends are its extremes.
+        n, dec, inc = self.n, self.dec_runs, self.inc_runs
         if not isinstance(n, int):
             raise ValueError(f"degree {n} is not an integer")
-        letters = [a for run in self.dec_runs + self.inc_runs for a in run.letters]
-        distinct = set(letters)
-        if len(distinct) < len(letters) or not distinct <= set(range(1, n)):
-            seen: set[int] = set()
-            for a in letters:
-                if not 1 <= a <= n - 1:
-                    raise ValueError(f"letter {a} out of range 1..{n - 1}")
-                if a in seen:
-                    raise ValueError(f"letter {a} repeated across runs")
-                seen.add(a)
-        dec_first = [run.letters[0] for run in self.dec_runs]
-        dec_last = [run.letters[-1] for run in self.dec_runs]
-        if any(map(lt, dec_first, dec_last)):
-            run = next(run for run in self.dec_runs if run.first < run.last)
-            raise ValueError(f"increasing run {run.letters} in the decreasing list")
-        inc_first = [run.letters[0] for run in self.inc_runs]
-        inc_last = [run.letters[-1] for run in self.inc_runs]
-        if not all(map(lt, inc_first, inc_last)):
-            run = next(run for run in self.inc_runs if not run.first < run.last)
-            raise ValueError(f"run {run.letters} in the increasing list must ascend")
-        if any(map(gt, dec_first, dec_last[1:])):
+        seen: set[int] = set()
+        for a in self.letters:
+            if not 1 <= a <= n - 1:
+                raise ValueError(f"letter {a} out of range 1..{n - 1}")
+            if a in seen:
+                raise ValueError(f"letter {a} repeated across runs")
+            seen.add(a)
+        for run in dec:
+            if run.first < run.last:
+                raise ValueError(f"increasing run {run.letters} in the decreasing list")
+        for run in inc:
+            if not run.first < run.last:
+                raise ValueError(f"run {run.letters} in the increasing list must ascend")
+        if any(lower.first > upper.last for lower, upper in zip(dec, dec[1:])):
             raise ValueError("decreasing runs must be ordered smaller letters first")
-        if any(map(lt, inc_first, inc_last[1:])):
+        if any(upper.first < lower.last for upper, lower in zip(inc, inc[1:])):
             raise ValueError("increasing runs must be ordered larger letters first")
         if n < 1:
             raise ValueError("degree must be at least 1")
@@ -77,7 +68,8 @@ class CanonicalWord(Value):
 
     @property
     def word(self) -> Word:
-        return Word(self.letters, self.n)
+        # checked letters, each in 1..n-1, and a checked integer degree
+        return Word._trusted(self.letters, self.n)
 
     def __len__(self) -> int:
         return len(self.letters)

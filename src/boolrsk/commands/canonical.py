@@ -25,6 +25,7 @@ def run(args):
         letters = w.entries
         canonical = canonical_from_heap(heap_of(w))
     row2_p, row2_q = row2_from_canonical(canonical)
+    leftmost, rightmost = leftmost_letters(canonical), rightmost_letters(canonical)
     head = {
         "input": space_separated(letters),
         "from_word": args["from_word"],
@@ -32,16 +33,16 @@ def run(args):
     }
     result = {
         **_canonical_payload(canonical),
-        "leftmost": sorted(leftmost_letters(canonical)),
-        "rightmost": sorted(rightmost_letters(canonical)),
+        "leftmost": sorted(leftmost),
+        "rightmost": sorted(rightmost),
         "row2_P": sorted(row2_p),
         "row2_Q": sorted(row2_q),
     }
     lines += [
         f"w = {w}",
         f"canonical word = {format_run_word(canonical.runs)}",
-        f"leftmost letters = {format_int_set(leftmost_letters(canonical))}",
-        f"rightmost letters = {format_int_set(rightmost_letters(canonical))}",
+        f"leftmost letters = {format_int_set(leftmost)}",
+        f"rightmost letters = {format_int_set(rightmost)}",
         f"second row of P = {format_int_set(row2_p)}",
         f"second row of Q = {format_int_set(row2_q)}",
     ]

@@ -259,22 +259,6 @@ class Permutation(Value):
         k = next(p for p in range(j + 1, n) if w[p] < w[j])
         return (i + 1, j + 1, k + 1)
 
-    def apply_word(self, letters: Sequence[int], side: str) -> "Permutation":
-        """Multiply by the product of adjacent transpositions named by ``letters``.
-
-        ``side="right"`` forms w * s, ``side="left"`` forms s * w, with the
-        letters composed left to right in both cases.
-
-        >>> str(Permutation((3, 4, 2, 5, 1, 6)).apply_word((4, 3, 2, 1), "right"))
-        '134256'
-        """
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-        from .words import Word, evaluate  # here, so calls that apply no word load no word code
-
-        product = evaluate(Word(tuple(letters), self.n))
-        return self * product if side == "right" else product * self
-
     def lex_least_lis(self) -> Subsequence:
         """The longest increasing subsequence whose value sequence is
         lexicographically least among all longest increasing subsequences.

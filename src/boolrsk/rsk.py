@@ -67,9 +67,9 @@ class StandardTableau(Value):
         for upper, lower in zip(self.rows, self.rows[1:]):
             if len(lower) > len(upper):
                 raise ValueError("row lengths must weakly decrease")
-            if any(map(le, lower, upper)):
-                a, b = next((a, b) for a, b in zip(upper, lower) if b <= a)
-                raise ValueError(f"column not increasing: {a} above {b}")
+            for a, b in zip(upper, lower):
+                if b <= a:
+                    raise ValueError(f"column not increasing: {a} above {b}")
         for row in self.rows:
             if any(map(le, row[1:], row)):
                 raise ValueError(f"row not increasing: {row}")
@@ -136,7 +136,7 @@ def rsk(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
 
 def partial_insertion(w: Permutation, i: int) -> StandardTableau:
     """The insertion tableau of the prefix w(1), ..., w(i)."""
-    if not 1 <= i <= w.n:
+    if not (isinstance(i, int) and 1 <= i <= w.n):
         raise ValueError(f"prefix length {i} out of range 1..{w.n}")
     return StandardTableau(_insert(w.entries[:i])[0])
 

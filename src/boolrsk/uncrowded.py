@@ -91,9 +91,11 @@ def realize_leftmost_letters(letters: Iterable[int], n: int) -> CanonicalWord:
     """
     from .canonical import CanonicalWord
 
+    if not isinstance(n, int):
+        raise ValueError(f"degree {n} is not an integer")
     wanted = sorted(set(letters))
     for a in wanted:
-        if not 1 <= a <= n - 1:
+        if not (isinstance(a, int) and 1 <= a <= n - 1):
             raise DomainError(f"letter {a} out of range 1..{n - 1}")
     witness = crowding_witness(set(wanted) | {0})
     if witness is not None:
@@ -107,7 +109,8 @@ def realize_leftmost_letters(letters: Iterable[int], n: int) -> CanonicalWord:
     top = max((a for run in dec + inc for a in run.letters), default=0)
     if top > n - 1:
         raise DomainError(f"construction needs letter {top} but the degree is {n}")
-    return CanonicalWord(tuple(dec), tuple(inc), n)
+    # disjoint runs below n: decreasing ones rising, increasing ones falling
+    return CanonicalWord._trusted(tuple(dec), tuple(inc), n)
 
 
 def _realize(wanted: list[int]) -> tuple[list[RunWord], list[RunWord]]:
@@ -126,16 +129,16 @@ def _realize(wanted: list[int]) -> tuple[list[RunWord], list[RunWord]]:
         )
         if j is None:
             k = len(wanted) - start - 1
-            inc_levels.append(
-                [RunWord((base + 2 * i + 1, base + 2 * i + 2)) for i in range(k, -1, -1)]
-            )
+            inc_levels.append([(base + 2 * i + 1, base + 2 * i + 2) for i in range(k, -1, -1)])
             break
         pivot = wanted[start + j]
         assert pivot - base > 2 * j + 1, "uncrowdedness forces the i-th letter to be at least 2i+1"
-        dec.append(RunWord((pivot, pivot - 1)))
-        inc_levels.append([RunWord((base + 2 * i - 1, base + 2 * i)) for i in range(j, 0, -1)])
+        dec.append((pivot, pivot - 1))
+        inc_levels.append([(base + 2 * i - 1, base + 2 * i) for i in range(j, 0, -1)])
         start, base = start + j + 1, pivot
-    return dec, [run for level in reversed(inc_levels) for run in level]
+    inc = [pair for level in reversed(inc_levels) for pair in level]
+    # each pair is two consecutive letters, so a run
+    return [RunWord._trusted(pair) for pair in dec], [RunWord._trusted(pair) for pair in inc]
 
 
 def tableau_from_binary_word(word: BinaryWord) -> StandardTableau:
@@ -148,10 +151,11 @@ def tableau_from_binary_word(word: BinaryWord) -> StandardTableau:
     """
     from .rsk import StandardTableau
 
-    if not word.has_odd_one_runs():
+    runs = word.one_runs()
+    if any(length % 2 == 0 for _, length in runs):
         raise DomainError(f"{word} has an even block of 1s")
     n = word.n
-    if all(b == 0 for b in word.bits):
+    if not runs:
         # 1..n in one row, n >= 1
         return StandardTableau._trusted((tuple(range(1, n + 1)),))
     row1 = {1}
@@ -159,7 +163,7 @@ def tableau_from_binary_word(word: BinaryWord) -> StandardTableau:
     for i, bit in enumerate(word.bits, start=1):
         if bit == 0:
             row1.add(n + 1 - i)
-    for start, length in word.one_runs():
+    for start, length in runs:
         end = start + length - 1
         row2.add(n + 1 - start)
         for j in range(start + 1, end, 2):
@@ -214,6 +218,8 @@ def odd_run_words(n: int) -> Iterator[BinaryWord]:
     lexicographic order."""
     from .words import BinaryWord
 
+    if not isinstance(n, int):
+        raise ValueError(f"degree {n} is not an integer")
     if n < 1:
         raise ValueError("degree must be at least 1")
     bits = [0] * (n - 1)
@@ -264,6 +270,9 @@ def _word_counts() -> Iterator[tuple[int, int]]:
 
 def count_uncrowded_range(lo: int, hi: int) -> Iterator[UncrowdedCounts]:
     """count_uncrowded(n) for n = lo..hi, in one pass of O(hi) additions."""
+    for n in (lo, hi):
+        if not isinstance(n, int):
+            raise ValueError(f"degree {n} is not an integer")
     if lo < 1:
         raise ValueError("degree must be at least 1")
     for total, starting_with_one in islice(_word_counts(), lo - 1, hi):

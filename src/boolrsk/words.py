@@ -94,7 +94,7 @@ class BinaryWord(Value):
 
     def __init__(self, bits: tuple[int, ...]) -> None:
         object.__setattr__(self, "bits", tuple(bits))
-        if any(b not in (0, 1) for b in self.bits):
+        if any(not isinstance(b, int) or b not in (0, 1) for b in self.bits):
             raise ValueError("bits must be 0 or 1")
 
     @property

@@ -14,13 +14,16 @@ window-by-window decoding of a tableau's binary word, the quadratic DP for
 the least longest increasing subsequence, the min-and-rebuild heap scan and
 the sorted walk over covers for the canonical word, row insertion by linear
 scan, the recursive enumeration of linear extensions, the step map built from
-products of transpositions, and the step list and the multiplication by
-reversed runs behind optimal run words and Ulam moves.
+products of transpositions formed swap by swap, and the step list and the
+multiplication by reversed runs behind optimal run words and Ulam moves.  The
+value checks that ran set and ``map`` passes before a loop named the first
+violation are kept here too, for ``CanonicalWord`` and ``StandardTableau``.
 """
 
 import itertools
 from bisect import bisect_right
 from functools import lru_cache
+from operator import gt, le, lt
 
 # Patience sorting; the acceptance suite ships the one copy.
 from boolrsk.acceptance import lds_length_patience as lds_length
@@ -393,11 +396,32 @@ def linear_extensions_recursive(heap):
     return emit()
 
 
+def times_letters(w, letters, side):
+    """w times the product of the adjacent transpositions named by ``letters``,
+    composed left to right: ``side="right"`` forms w * s by swapping the
+    entries at positions a and a+1 for each letter a in turn, ``side="left"``
+    forms s * w by swapping the values a and a+1, last letter first.  Neither
+    ``evaluate`` nor ``*`` is used."""
+    from boolrsk import Permutation
+
+    entries = list(w.entries)
+    if side == "right":
+        for a in letters:
+            entries[a - 1], entries[a] = entries[a], entries[a - 1]
+    else:
+        position = {v: i for i, v in enumerate(entries)}
+        for a in reversed(letters):
+            i, j = position[a], position[a + 1]
+            entries[i], entries[j] = a + 1, a
+            position[a], position[a + 1] = j, i
+    return Permutation(tuple(entries))
+
+
 def run_step_by_products(w):
     """The step map as products of adjacent transpositions: q, the least value
     missing from the least LIS (by the quadratic DP), is found by scanning
-    1..n; the run's product is formed letter by letter with ``apply_word`` and
-    composed with w on its side; j is the minimum over all of 1..q-1."""
+    1..n; the run's product is formed swap by swap on w's side by
+    ``times_letters``; j is the minimum over all of 1..q-1."""
     from boolrsk import DomainError, RunStep, RunWord
     from boolrsk.runstat import (
         CASE_LEFT_OF_PREDECESSOR,
@@ -411,17 +435,17 @@ def run_step_by_products(w):
     q = next(v for v in range(1, w.n + 1) if v not in lis_values)
     if q == 1:
         run = RunWord(tuple(range(w.position_of(1) - 1, 0, -1)))
-        return RunStep(w.apply_word(run.letters, "right"), run, "right", CASE_MISSING_ONE)
+        return RunStep(times_letters(w, run.letters, "right"), run, "right", CASE_MISSING_ONE)
     t = w.position_of(q)
     t_prev = w.position_of(q - 1)
     if t > t_prev:
         run = RunWord(tuple(range(t - 1, t_prev, -1)))
         return RunStep(
-            w.apply_word(run.letters, "right"), run, "right", CASE_RIGHT_OF_PREDECESSOR
+            times_letters(w, run.letters, "right"), run, "right", CASE_RIGHT_OF_PREDECESSOR
         )
     j = min(v for v in range(1, q) if w.position_of(v) > t)
     run = RunWord(tuple(range(j, q)))
-    return RunStep(w.apply_word(run.letters, "left"), run, "left", CASE_LEFT_OF_PREDECESSOR)
+    return RunStep(times_letters(w, run.letters, "left"), run, "left", CASE_LEFT_OF_PREDECESSOR)
 
 
 def optimal_run_word_by_insertion(w):
@@ -460,7 +484,7 @@ def moves_from_runs_by_words(w, runs):
         else:
             b, a = letters[0], letters[-1]
             move = UlamMove(b + 1, u(a - 1) if a > 1 else None)
-        u = u.apply_word(letters, "right")
+        u = times_letters(u, letters, "right")
         out.append((move, u))
     return out
 
@@ -477,3 +501,63 @@ def canonical_from_word_checked(word):
     if witness is not None:
         raise NotBooleanError(*witness)
     return canonical_from_heap(heap_of(w))
+
+
+def canonical_word_error_by_prepass(dec_runs, inc_runs, n):
+    """The message of the first rule these ``CanonicalWord`` fields break, or
+    None: C-level set and ``map`` passes, and a loop only to name the first
+    violation.  A run's least and greatest letters are its two ends."""
+    if not isinstance(n, int):
+        return f"degree {n} is not an integer"
+    letters = [a for run in dec_runs + inc_runs for a in run.letters]
+    distinct = set(letters)
+    if len(distinct) < len(letters) or not distinct <= set(range(1, n)):
+        seen = set()
+        for a in letters:
+            if not 1 <= a <= n - 1:
+                return f"letter {a} out of range 1..{n - 1}"
+            if a in seen:
+                return f"letter {a} repeated across runs"
+            seen.add(a)
+    dec_first = [run.letters[0] for run in dec_runs]
+    dec_last = [run.letters[-1] for run in dec_runs]
+    if any(map(lt, dec_first, dec_last)):
+        run = next(run for run in dec_runs if run.first < run.last)
+        return f"increasing run {run.letters} in the decreasing list"
+    inc_first = [run.letters[0] for run in inc_runs]
+    inc_last = [run.letters[-1] for run in inc_runs]
+    if not all(map(lt, inc_first, inc_last)):
+        run = next(run for run in inc_runs if not run.first < run.last)
+        return f"run {run.letters} in the increasing list must ascend"
+    if any(map(gt, dec_first, dec_last[1:])):
+        return "decreasing runs must be ordered smaller letters first"
+    if any(map(lt, inc_first, inc_last[1:])):
+        return "increasing runs must be ordered larger letters first"
+    if n < 1:
+        return "degree must be at least 1"
+    return None
+
+
+def standard_tableau_error_by_prepass(rows):
+    """The message of the first rule these ``StandardTableau`` rows break, or
+    None, with each column pair first tested by one ``map`` pass."""
+    rows = tuple(tuple(row) for row in rows)
+    if not rows or not all(rows):
+        return "rows must be nonempty"
+    entries = [v for row in rows for v in row]
+    if not all(isinstance(v, int) for v in entries):
+        return "entries must be integers"
+    for upper, lower in zip(rows, rows[1:]):
+        if len(lower) > len(upper):
+            return "row lengths must weakly decrease"
+        if any(map(le, lower, upper)):
+            a, b = next((a, b) for a, b in zip(upper, lower) if b <= a)
+            return f"column not increasing: {a} above {b}"
+    for row in rows:
+        if any(map(le, row[1:], row)):
+            return f"row not increasing: {row}"
+    if len(set(entries)) != len(entries):
+        return "entries must be distinct"
+    if min(entries) < 1:
+        return "entries must be positive"
+    return None

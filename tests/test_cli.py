@@ -308,6 +308,27 @@ class TestPlainOutput:
         assert out.endswith("shape: 2 2\n")
         assert calls == [(3, 1, 4, 2)]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("3 1 4 2",), ("--json", "3 1 4 2"), ("--from-word", "2 1 3"),
+         ("--json", "--from-word", "2 1 3")],
+    )
+    def test_canonical_reads_each_letter_set_once(self, monkeypatch, argv):
+        # the JSON result and the printed lines share one set of each
+        handler = importlib.import_module("boolrsk.commands.canonical")
+        calls = []
+        for name in ("leftmost_letters", "rightmost_letters"):
+            real = getattr(handler, name)
+
+            def counted(canonical, real=real, name=name):
+                calls.append(name)
+                return real(canonical)
+
+            monkeypatch.setattr(handler, name, counted)
+        code, _, _ = run_cli("canonical", *argv)
+        assert code == 0
+        assert sorted(calls) == ["leftmost_letters", "rightmost_letters"]
+
     def test_ulam_moves(self):
         _, out, _ = run_cli("ulam", "5 1 6 4 2 7 3 8")
         assert "1) move pos=6 after=3 -> 51642378" in out

@@ -64,6 +64,7 @@ from oracles import (
     reduced_word_by_leftmost_descent,
     rsk_by_linear_scan,
     run_step_by_products,
+    times_letters,
 )
 from test_cli import run_cli, run_cli_fresh
 
@@ -136,7 +137,7 @@ def test_random_3412_rejects_degrees_100_to_150():
         ascents = [a for a in range(1, n) if w(a) < w(a + 1)]
         rng.shuffle(ascents)
         for a in ascents:
-            longer = w.apply_word((a,), "right")
+            longer = times_letters(w, (a,), "right")
             witness = boolean_witness_by_patterns(longer.entries)
             if witness[0] == "3412":
                 break
@@ -150,7 +151,7 @@ def lengthen_within_321_avoiders(rng, w):
     ascents = [a for a in range(1, w.n) if w(a) < w(a + 1)]
     rng.shuffle(ascents)
     for a in ascents:
-        longer = w.apply_word((a,), "right")
+        longer = times_letters(w, (a,), "right")
         if avoids_321_by_suffix_min(longer.entries):
             return longer
     pytest.fail("no lengthening letter keeps the product 321-avoiding")

@@ -27,6 +27,8 @@ from boolrsk import (
     apply_ulam_move,
     binary_word_from_tableau,
     commutation_class,
+    count_uncrowded,
+    count_uncrowded_range,
     identity,
     linear_extensions,
     odd_run_words,
@@ -47,7 +49,7 @@ W, U = Permutation((2, 3, 1)), identity(4)
 
 # (call, exception type, message): what each boundary raised before results
 # were built without checks, and must still raise, and the messages that
-# reject non-integer degrees, positions, values, parts and entries
+# reject non-integer degrees, sizes, positions, values, parts, entries and bits
 BOUNDARY = [
     pytest.param(
         lambda: list(all_permutations(0)), ValueError, "one-line notation must not be empty",
@@ -110,10 +112,6 @@ BOUNDARY = [
         id="odd_run_words(0)",
     ),
     pytest.param(
-        lambda: W.apply_word((3,), "right"), ValueError, "letter 3 out of range 1..2",
-        id="apply_word with a letter out of range",
-    ),
-    pytest.param(
         lambda: CanonicalWord((), (), 0), ValueError, "degree must be at least 1",
         id="empty canonical word of degree 0",
     ),
@@ -131,10 +129,6 @@ BOUNDARY = [
     pytest.param(
         lambda: Word(("1",), 3), ValueError, "letter 1 out of range 1..2",
         id="Word with a string letter",
-    ),
-    pytest.param(
-        lambda: W.apply_word((1.5,), "right"), ValueError, "letter 1.5 out of range 1..2",
-        id="apply_word with a float letter",
     ),
     pytest.param(
         lambda: RunWord((1.5, 2.5)), ValueError, "not a run: (1.5, 2.5)", id="RunWord((1.5, 2.5))"
@@ -191,6 +185,33 @@ BOUNDARY = [
         lambda: apply_ulam_move(Permutation((2, 1, 3)), UlamMove(1, 2.5)), ValueError,
         "value 2.5 out of range 1..3", id="ulam move after value 2.5",
     ),
+    pytest.param(
+        lambda: partial_insertion(W, 1.5), ValueError, "prefix length 1.5 out of range 1..3",
+        id="partial_insertion(w, 1.5)",
+    ),
+    pytest.param(
+        lambda: list(odd_run_words(2.5)), ValueError, "degree 2.5 is not an integer",
+        id="odd_run_words(2.5)",
+    ),
+    pytest.param(
+        lambda: count_uncrowded(2.5), ValueError, "degree 2.5 is not an integer",
+        id="count_uncrowded(2.5)",
+    ),
+    pytest.param(
+        lambda: list(count_uncrowded_range(1, 2.5)), ValueError, "degree 2.5 is not an integer",
+        id="count_uncrowded_range(1, 2.5)",
+    ),
+    pytest.param(
+        lambda: realize_leftmost_letters((1,), 2.5), ValueError, "degree 2.5 is not an integer",
+        id="realize at degree 2.5",
+    ),
+    pytest.param(
+        lambda: realize_leftmost_letters((1.5,), 5), DomainError, "letter 1.5 out of range 1..4",
+        id="realize letter 1.5",
+    ),
+    pytest.param(
+        lambda: BinaryWord((1.0,)), ValueError, "bits must be 0 or 1", id="BinaryWord((1.0,))"
+    ),
 ]
 
 
@@ -207,6 +228,13 @@ def test_a_bool_degree_passes_as_an_integer_does():
     assert Word((), True).n is True
     assert Heap(frozenset(), frozenset(), True).n is True
     assert CanonicalWord((), (), True).n is True
+    assert CanonicalWord((), (), True).word.n is True
+    assert partial_insertion(W, True).rows == ((2,),)
+    assert [word.bits for word in odd_run_words(True)] == [()]
+    assert count_uncrowded(True).total == list(count_uncrowded_range(True, True))[0].total == 1
+    assert realize_leftmost_letters((), True).n is True
+    assert realize_leftmost_letters((True,), 3).inc_runs == (RunWord((1, 2)),)
+    assert BinaryWord((True, False)).bits == (True, False)
 
 
 @pytest.fixture
@@ -296,6 +324,8 @@ RERUN = [
      {"Heap", "Word", "CanonicalWord", "RunWord"}),
     (fast.TestLinearExtensions, "test_every_boolean_heap_up_to_degree_7", {"Heap", "Word"}),
     (fast.TestRecursionFree, "test_odd_run_words_match_filtering", {"BinaryWord"}),
+    (fast.TestRecursionFree, "test_realize_matches_recursive_construction",
+     {"CanonicalWord", "RunWord"}),
     (fast.TestBinaryWordDecoding, "test_matches_window_scan_on_long_words",
      {"BinaryWord", "StandardTableau"}),
 ]

@@ -176,6 +176,22 @@ class TestWordToTableau:
                 assert is_uncrowded_tableau(tableau)
 
 
+    @pytest.mark.parametrize("bits", [(0, 0, 0), (1, 0, 1, 1, 1), (0, 1, 1)])
+    def test_reads_the_blocks_of_ones_once(self, monkeypatch, bits):
+        one_runs, calls = BinaryWord.one_runs, []
+
+        def counted(word):
+            calls.append(word.bits)
+            return one_runs(word)
+
+        monkeypatch.setattr(BinaryWord, "one_runs", counted)
+        try:
+            tableau_from_binary_word(BinaryWord(bits))
+        except DomainError:
+            assert bits == (0, 1, 1)
+        assert calls == [bits]
+
+
 class TestTableauToWord:
     def test_large_worked_example(self):
         tableau = T([1, 2, 3, 6, 7, 9, 12, 14, 16, 17], [4, 5, 8, 10, 11, 13, 15, 18])

@@ -8,7 +8,9 @@ import copy
 import dataclasses
 import inspect
 import pickle
+import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -21,6 +23,8 @@ from boolrsk.rsk import Shape, StandardTableau
 from boolrsk.runstat import RunStep, UlamMove
 from boolrsk.textio import parse_permutation
 from boolrsk.words import BinaryWord, Heap, RunWord, Word
+
+from oracles import canonical_word_error_by_prepass, standard_tableau_error_by_prepass
 
 # (class, field values, repr)
 VALUES = [
@@ -261,6 +265,158 @@ def test_canonical_word_is_a_value_and_still_a_dataclass():
     with pytest.raises(dataclasses.FrozenInstanceError):
         word.n = 6
     assert CanonicalWord._trusted(*dataclasses.astuple(word)) == word
+
+
+def broken_canonical_fields(rng, dec, inc, n, rule):
+    """The fields of a valid canonical word with ``rule`` broken, or None when
+    the word has no runs to break it with."""
+    dec, inc = list(dec), list(inc)
+    letters = [a for run in dec + inc for a in run.letters]
+    if rule == "degree not an integer":
+        n += 0.5
+    elif rule == "letter out of range":
+        if letters and rng.random() < 0.5:
+            n = max(letters)
+        else:
+            dec.insert(0, RunWord((0,)))
+    elif rule == "letter repeated":
+        if not letters:
+            return None
+        side = rng.choice((dec, inc))
+        side.insert(rng.randint(0, len(side)), RunWord((rng.choice(letters),)))
+    elif rule == "increasing run in the decreasing list":
+        long_dec = [k for k, run in enumerate(dec) if len(run) > 1]
+        if long_dec:
+            k = rng.choice(long_dec)
+            dec[k] = dec[k].reversed()
+        elif any(len(run) > 1 for run in inc):
+            dec.append(inc.pop(rng.choice([k for k, run in enumerate(inc) if len(run) > 1])))
+        else:
+            return None
+    elif rule == "run not ascending in the increasing list":
+        long_inc = [k for k, run in enumerate(inc) if len(run) > 1]
+        if long_inc and rng.random() < 0.5:
+            k = rng.choice(long_inc)
+            inc[k] = inc[k].reversed()
+        elif dec:
+            inc.insert(rng.randint(0, len(inc)), dec.pop(rng.randrange(len(dec))))
+        else:
+            return None
+    elif rule == "decreasing runs out of order":
+        if len(dec) < 2:
+            return None
+        i, j = sorted(rng.sample(range(len(dec)), 2))
+        dec[i], dec[j] = dec[j], dec[i]
+    elif rule == "increasing runs out of order":
+        if len(inc) < 2:
+            return None
+        i, j = sorted(rng.sample(range(len(inc)), 2))
+        inc[i], inc[j] = inc[j], inc[i]
+    else:  # "degree below 1"
+        n = rng.choice((0, -1, -4))
+    return tuple(dec), tuple(inc), n
+
+
+CANONICAL_RULES = [
+    "degree not an integer", "letter out of range", "letter repeated",
+    "increasing run in the decreasing list", "run not ascending in the increasing list",
+    "decreasing runs out of order", "increasing runs out of order", "degree below 1",
+]
+
+
+def test_canonical_checks_match_the_prepass_checks():
+    # each field set breaks one rule alone or two at once; the one loop per
+    # rule names the violation the set and map passes named
+    from boolrsk import canonical_from_heap, evaluate, heap_of
+
+    rng = random.Random(2020)
+    messages, cases = Counter(), 0
+    while cases < 300:
+        n = rng.randint(2, 24)
+        letters = rng.sample(range(1, n), rng.randint(0, n - 1))
+        c = canonical_from_heap(heap_of(evaluate(Word(tuple(letters), n))))
+        assert canonical_word_error_by_prepass(c.dec_runs, c.inc_runs, c.n) is None
+        fields = (c.dec_runs, c.inc_runs, c.n)
+        for rule in rng.sample(CANONICAL_RULES, rng.randint(1, 2)):
+            fields = broken_canonical_fields(rng, *fields, rule)
+            if fields is None:
+                break
+        if fields is None:
+            continue
+        expected = canonical_word_error_by_prepass(*fields)
+        assert expected is not None, fields
+        with pytest.raises(ValueError) as caught:
+            CanonicalWord(*fields)
+        assert str(caught.value) == expected, fields
+        messages[re.sub(r"[-\d.]+|\([^)]*\)", "#", expected)] += 1
+        cases += 1
+    # every message form turns up
+    assert len(messages) == 8, messages
+
+
+def broken_tableau_rows(rng, rows, rule):
+    """The rows of a standard tableau with ``rule`` broken, or None when the
+    tableau is too small to break it."""
+    rows = [list(row) for row in rows]
+    row = rng.choice([row for row in rows if row])
+    k = rng.randrange(len(row))
+    if rule == "empty row":
+        rows.insert(rng.randint(1, len(rows)), [])
+    elif rule == "entry not an integer":
+        row[k] += rng.choice((0.5, 0.0))
+    elif rule == "row lengths rise":
+        rows.append([1000 + i for i in range(len(rows[-1]) + 1)])
+    elif rule == "column does not rise":
+        lower = [r for r in range(1, len(rows)) if rows[r - 1] and rows[r]]
+        if not lower:
+            return None
+        r = rng.choice(lower)
+        k = rng.randrange(min(len(rows[r - 1]), len(rows[r])))
+        rows[r - 1][k], rows[r][k] = rows[r][k], rows[r - 1][k]
+    elif rule == "row does not rise":
+        if len(row) < 2:
+            return None
+        k = rng.randrange(len(row) - 1)
+        row[k], row[k + 1] = row[k + 1], row[k]
+    elif rule == "entries repeat":
+        entries = [v for r in rows for v in r]
+        if len(entries) < 2:
+            return None
+        row[k] = rng.choice([v for v in entries if v != row[k]])
+    else:  # "entry below 1"
+        shift = rng.randint(1, 3)
+        rows = [[v - shift for v in r] for r in rows]
+    return tuple(map(tuple, rows))
+
+
+TABLEAU_RULES = [
+    "empty row", "entry not an integer", "row lengths rise", "column does not rise",
+    "row does not rise", "entries repeat", "entry below 1",
+]
+
+
+def test_tableau_checks_match_the_prepass_checks():
+    from boolrsk import rsk
+
+    rng = random.Random(1917)
+    messages, cases = Counter(), 0
+    while cases < 300:
+        entries = list(range(1, rng.randint(2, 14)))
+        rng.shuffle(entries)
+        rows = rsk(Permutation(tuple(entries)))[rng.randrange(2)].rows
+        assert standard_tableau_error_by_prepass(rows) is None
+        for rule in rng.sample(TABLEAU_RULES, rng.randint(1, 2)):
+            rows = broken_tableau_rows(rng, rows, rule)
+            if rows is None:
+                break
+        if rows is None or standard_tableau_error_by_prepass(rows) is None:
+            continue  # the second change undid the first
+        with pytest.raises(ValueError) as caught:
+            StandardTableau(rows)
+        assert str(caught.value) == standard_tableau_error_by_prepass(rows), rows
+        messages[re.sub(r"[-\d.]+|\([^)]*\)", "#", str(caught.value))] += 1
+        cases += 1
+    assert len(messages) == 7, messages
 
 
 # (text, the ParseError message, its token position)
