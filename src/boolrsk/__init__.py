@@ -23,10 +23,9 @@ _EXPORTS = {
         "Subsequence",
         "all_permutations",
         "boolean_permutations",
-        "from_one_line",
         "identity",
     ),
-    "rsk": ("Shape", "StandardTableau", "partial_insertion", "row2_from_canonical", "rsk", "shape_of"),
+    "rsk": ("Shape", "StandardTableau", "row2_from_canonical", "rsk", "shape_of"),
     "runstat": (
         "RunStep",
         "UlamMove",
@@ -55,7 +54,6 @@ _EXPORTS = {
         "RunWord",
         "Word",
         "all_reduced_words",
-        "commutation_class",
         "evaluate",
         "heap_of",
         "is_reduced",

@@ -18,7 +18,6 @@ import sys
 import time
 from collections.abc import Callable, Sequence
 from contextlib import redirect_stdout
-from functools import lru_cache
 from importlib import resources
 
 from ._value import Value
@@ -40,11 +39,6 @@ from .words import RunWord, Word, all_reduced_words, heap_of, linear_extensions,
 TOTALS_1_TO_10 = (1, 2, 3, 6, 10, 19, 33, 61, 108, 197)
 MAX_IN_ROW2_1_TO_10 = (0, 1, 1, 3, 4, 9, 14, 28, 47, 89)
 BRUTE_FORCE_DEGREE_LIMIT = 6
-
-
-@lru_cache(maxsize=None)
-def boolean_permutations_cached(n: int) -> tuple[Permutation, ...]:
-    return tuple(boolean_permutations(n))
 
 
 def lis_length_patience(values: Sequence[int]) -> int:
@@ -150,7 +144,7 @@ def criterion_2() -> str:
 def criterion_3() -> str:
     checked = 0
     for n in range(1, 9):
-        for w in boolean_permutations_cached(n):
+        for w in boolean_permutations(n):
             canonical = canonical_from_heap(heap_of(w))
             predicted_p, predicted_q = row2_from_canonical(canonical)
             p, q = rsk(w)
@@ -165,7 +159,7 @@ def criterion_3() -> str:
 def criterion_4() -> str:
     checked = 0
     for n in range(1, 8):
-        for w in boolean_permutations_cached(n):
+        for w in boolean_permutations(n):
             heap = heap_of(w)
             expected = canonical_from_heap(heap)
             for word in linear_extensions(heap):
@@ -238,8 +232,8 @@ def criterion_6() -> str:
 
 def criterion_7() -> str:
     for n in range(1, 9):
-        actual_p = {frozenset(rsk(w)[0].row2) for w in boolean_permutations_cached(n)}
-        actual_q = {frozenset(rsk(w)[1].row2) for w in boolean_permutations_cached(n)}
+        actual_p = {frozenset(rsk(w)[0].row2) for w in boolean_permutations(n)}
+        actual_q = {frozenset(rsk(w)[1].row2) for w in boolean_permutations(n)}
         predicted = set()
         for size in range(0, n // 2 + 1):
             for picked in itertools.combinations(range(2, n + 1), size):
@@ -271,7 +265,7 @@ def criterion_8() -> str:
 def criterion_9() -> str:
     checked = 0
     for n in range(1, 9):
-        for w in boolean_permutations_cached(n):
+        for w in boolean_permutations(n):
             row2 = set(rsk(w)[0].row2)
             for i in row2:
                 assert not ({i + 1, i + 2} <= row2), f"{w}: {{{i},{i + 1},{i + 2}}}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from operator import sub
 
 from ._value import Value
@@ -301,11 +301,6 @@ class Permutation(Value):
         return format_letters(self.entries)
 
 
-def from_one_line(values: Sequence[int]) -> Permutation:
-    """Build a permutation from one-line notation, rejecting malformed input."""
-    return Permutation(tuple(values))
-
-
 def identity(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
 
@@ -317,5 +312,20 @@ def all_permutations(n: int) -> Iterator[Permutation]:
 
 
 def boolean_permutations(n: int) -> Iterator[Permutation]:
-    """The boolean elements of S_n (those avoiding 321 and 3412)."""
-    return (w for w in all_permutations(n) if w.is_boolean())
+    """The boolean elements of S_n, F(2n-1) of them: one per ``orient`` of
+    ``canonical._canonical_from_orientation``, built depth-first in lexicographic
+    order of the orientations, each letter's read as absent < 0 < +1 < -1."""
+    from .canonical import _canonical_from_orientation
+    from .words import evaluate
+
+    identity(n)  # rejects n as all_permutations(n) does
+    # the signs letter a+1 may take after letter a's, reversed as the stack pops them
+    after = {None: (-1, 1, 0, None), 0: (None,), 1: (-1, 1, 0), -1: (-1, 1, 0)}
+    orient, stack = [], [(0, None)]  # one path, and (letter, sign) pairs; there is no letter 0
+    while stack:
+        a, s = stack.pop()
+        orient[a:] = [s]
+        if a == n - 1:
+            yield evaluate(_canonical_from_orientation(orient, n).word)
+        else:  # letter n-1 takes no ±1, as there is no letter n
+            stack.extend((a + 1, t) for t in after[s] if not (t and a + 2 == n))

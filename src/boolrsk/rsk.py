@@ -39,20 +39,14 @@ class Shape(Value):
     def n(self) -> int:
         return sum(self.parts)
 
-    def conjugate(self) -> "Shape":
-        if not self.parts:
-            return Shape(())
-        return Shape(tuple(sum(1 for p in self.parts if p > k) for k in range(self.parts[0])))
-
 
 class StandardTableau(Value):
     """Rows of a standard-style tableau: distinct positive entries increasing
     along rows and down columns, row lengths weakly decreasing.
 
-    Insertion tableaux of whole permutations carry the values 1..n exactly
-    (see ``has_contiguous_content``); partial insertion tableaux carry just
-    the inserted prefix, which is why contiguity is not a construction
-    invariant.
+    Insertion tableaux of permutations carry the values 1..n exactly; other
+    tableaux need not, so contiguity is tested by ``has_contiguous_content``
+    where it matters, not at construction.
     """
 
     _fields = ("rows",)
@@ -132,13 +126,6 @@ def rsk(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
     """
     # row insertion of n >= 1 distinct values keeps both tableaux standard
     return tuple(StandardTableau._trusted(tuple(map(tuple, rows))) for rows in _insert(w.entries))
-
-
-def partial_insertion(w: Permutation, i: int) -> StandardTableau:
-    """The insertion tableau of the prefix w(1), ..., w(i)."""
-    if not (isinstance(i, int) and 1 <= i <= w.n):
-        raise ValueError(f"prefix length {i} out of range 1..{w.n}")
-    return StandardTableau(_insert(w.entries[:i])[0])
 
 
 def shape_of(w: Permutation) -> Shape:

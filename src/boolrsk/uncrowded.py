@@ -21,6 +21,15 @@ from .errors import CrowdedError, DomainError
 # that construct their classes, so checking or counting loads only this module.
 
 
+def _sorted_integers(values: Iterable[int]) -> list[int]:
+    """The distinct values in increasing order; a non-integer is rejected."""
+    elements = sorted(set(values))
+    for e in elements:
+        if not isinstance(e, int):
+            raise ValueError(f"element {e} is not an integer")
+    return elements
+
+
 def crowding_witness(values: Iterable[int]) -> tuple[int, int, int] | None:
     """The violating window [y, y+2x] with the least y, then the least x, as
     (y, x, count); None when the set is uncrowded.
@@ -33,7 +42,7 @@ def crowding_witness(values: Iterable[int]) -> tuple[int, int, int] | None:
     the running minimum of f finds the least such i.  Only a crowded set then
     pays a scan for the least x.
     """
-    elements = sorted(set(values))
+    elements = _sorted_integers(values)
     first = None
     lowest = math.inf  # the least f(j) over the elements right of i
     for i in range(len(elements) - 1, -1, -1):
@@ -75,7 +84,7 @@ def is_uncrowded_tableau(tableau: StandardTableau) -> bool:
 def is_feasible_second_row(values: Iterable[int]) -> bool:
     """True when some two-row standard tableau has this set inside its second
     row: the j-th smallest element must be at least 2j."""
-    return all(r >= 2 * j for j, r in enumerate(sorted(set(values)), start=1))
+    return all(r >= 2 * j for j, r in enumerate(_sorted_integers(values), start=1))
 
 
 def realize_leftmost_letters(letters: Iterable[int], n: int) -> CanonicalWord:

@@ -17,7 +17,7 @@ from itertools import repeat
 from operator import sub
 
 from ._value import Value
-from .errors import DegreeLimitError, DomainError, NotBooleanError
+from .errors import DegreeLimitError, NotBooleanError
 
 ENUMERATION_DEGREE_LIMIT = 9
 _RUN_STEPS = (frozenset({1}), frozenset({-1}))  # the steps a run of two or more letters may take
@@ -116,11 +116,8 @@ class BinaryWord(Value):
                 i += 1
         return runs
 
-    def has_odd_one_runs(self) -> bool:
-        return all(length % 2 == 1 for _, length in self.one_runs())
-
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return "".join("1" if b else "0" for b in self.bits)  # bool bits print as digits
 
 
 class Heap(Value):
@@ -128,7 +125,8 @@ class Heap(Value):
     boolean permutation.
 
     A cover (x, y) means x appears before y in every reduced word; covers only
-    relate consecutive integers, so the order is a fence on a path.
+    relate consecutive integers, and each pair of consecutive elements has one,
+    so the order is a fence on a path.
     """
 
     _fields = ("elements", "covers", "n")
@@ -151,6 +149,9 @@ class Heap(Value):
                 raise ValueError(f"element {e} out of range 1..{self.n - 1}")
         if self.n < 1:
             raise ValueError("degree must be at least 1")
+        for e in sorted(self.elements):  # the least gap first
+            if e + 1 in self.elements and not {(e, e + 1), (e + 1, e)} & self.covers:
+                raise ValueError(f"elements {e} and {e + 1} have no cover")
 
     def precedes(self, x: int, y: int) -> bool:
         """True when x is forced before y (consecutive letters only)."""
@@ -285,42 +286,16 @@ def linear_extensions(heap: Heap) -> Iterator[Word]:
         k += 1
 
 
-def _word_moves(letters: tuple[int, ...], braids: bool = True) -> Iterator[tuple[int, ...]]:
-    """Words one commutation move away and, with ``braids``, one braid move away."""
+def _word_moves(letters: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Words one commutation move or one braid move away."""
     for i in range(len(letters) - 1):
         a, b = letters[i], letters[i + 1]
         if abs(a - b) > 1:
             yield letters[:i] + (b, a) + letters[i + 2 :]
-    if not braids:
-        return
     for i in range(len(letters) - 2):
         a, b, c = letters[i], letters[i + 1], letters[i + 2]
         if a == c and abs(a - b) == 1:
             yield letters[:i] + (b, a, b) + letters[i + 3 :]
-
-
-def _require_enumerable(n: int) -> None:
-    """Refuse degrees past ENUMERATION_DEGREE_LIMIT, where enumerations explode factorially."""
-    if n > ENUMERATION_DEGREE_LIMIT:
-        raise DegreeLimitError(
-            f"degree {n} exceeds the enumeration limit {ENUMERATION_DEGREE_LIMIT}"
-        )
-
-
-def _closure(word: Word, braids: bool) -> list[Word]:
-    """Every word reached from ``word`` by ``_word_moves``, sorted lexicographically."""
-    seen = {word.letters}
-    frontier = [word.letters]
-    while frontier:
-        fresh = []
-        for letters in frontier:
-            for other in _word_moves(letters, braids):
-                if other not in seen:
-                    seen.add(other)
-                    fresh.append(other)
-        frontier = fresh
-    # every move reuses letters already in ``word``
-    return [Word._trusted(letters, word.n) for letters in sorted(seen)]
 
 
 def all_reduced_words(w: Permutation) -> list[Word]:
@@ -330,16 +305,19 @@ def all_reduced_words(w: Permutation) -> list[Word]:
     commutation and braid moves starting from one reduced word.  Guarded to
     small degrees, since |R(w)| grows factorially.
     """
-    _require_enumerable(w.n)
+    if w.n > ENUMERATION_DEGREE_LIMIT:
+        raise DegreeLimitError(
+            f"degree {w.n} exceeds the enumeration limit {ENUMERATION_DEGREE_LIMIT}"
+        )
     if w.is_boolean():
         return list(linear_extensions(heap_of(w)))
-    return _closure(reduced_word_of(w), braids=True)
-
-
-def commutation_class(word: Word) -> list[Word]:
-    """The closure of a reduced word under swaps of adjacent commuting letters,
-    sorted lexicographically."""
-    _require_enumerable(word.n)
-    if not is_reduced(word):
-        raise DomainError(f"word {word.letters} is not reduced")
-    return _closure(word, braids=False)
+    start = reduced_word_of(w).letters
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for other in _word_moves(frontier.pop()):
+            if other not in seen:
+                seen.add(other)
+                frontier.append(other)
+    # every move reuses letters already in the reduced word
+    return [Word._trusted(letters, w.n) for letters in sorted(seen)]

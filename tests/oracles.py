@@ -15,9 +15,11 @@ the least longest increasing subsequence, the min-and-rebuild heap scan and
 the sorted walk over covers for the canonical word, row insertion by linear
 scan, the recursive enumeration of linear extensions, the step map built from
 products of transpositions formed swap by swap, and the step list and the
-multiplication by reversed runs behind optimal run words and Ulam moves.  The
-value checks that ran set and ``map`` passes before a loop named the first
-violation are kept here too, for ``CanonicalWord`` and ``StandardTableau``.
+multiplication by reversed runs behind optimal run words and Ulam moves, the
+filter of S_n by the boolean test, and the closure of a word under swaps of
+commuting letters.  The value checks that ran set and ``map`` passes before a
+loop named the first violation are kept here too, for ``CanonicalWord`` and
+``StandardTableau``.
 """
 
 import itertools
@@ -122,6 +124,29 @@ def reduced_words_by_filtering(w):
         if evaluate(Word(letters, w.n)) == w:
             out.add(letters)
     return out
+
+
+def boolean_permutations_by_filter(n):
+    """The boolean elements of S_n, in lexicographic order, by testing all n! of them."""
+    from boolrsk import all_permutations
+
+    return [w for w in all_permutations(n) if w.is_boolean()]
+
+
+def commutation_class_by_swaps(letters):
+    """The letter tuples reached from ``letters`` by swapping adjacent letters
+    that differ by more than 1."""
+    seen = {tuple(letters)}
+    frontier = list(seen)
+    while frontier:
+        word = frontier.pop()
+        for i in range(len(word) - 1):
+            if abs(word[i] - word[i + 1]) > 1:
+                other = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
+                if other not in seen:
+                    seen.add(other)
+                    frontier.append(other)
+    return seen
 
 
 def length_pairwise(entries):

@@ -104,14 +104,14 @@ class TestStructuralInvariants:
             CanonicalWord((RunWord((3,)), RunWord((1,))), (), 5)
 
     def test_assembled_word_is_reduced_and_evaluates_back(self):
-        for n in range(1, 8):
+        for n in range(1, 11):
             for w in boolean_permutations(n):
                 canonical = canonical_from_heap(heap_of(w))
                 assert is_reduced(canonical.word)
                 assert evaluate(canonical.word) == w
 
     def test_run_count_is_optimal(self):
-        for n in range(1, 8):
+        for n in range(1, 11):
             for w in boolean_permutations(n):
                 canonical = canonical_from_heap(heap_of(w))
                 assert len(canonical.runs) == run_statistic(w)
@@ -126,13 +126,13 @@ class TestStructuralInvariants:
                     assert canonical_from_word(word) == expected
 
     def test_fixed_point_of_word_construction(self):
-        for n in range(1, 8):
+        for n in range(1, 11):
             for w in boolean_permutations(n):
                 canonical = canonical_from_heap(heap_of(w))
                 assert canonical_from_word(canonical.word) == canonical
 
     def test_inverse_reverses_runs_as_multisets(self):
-        for n in range(1, 8):
+        for n in range(1, 11):
             for w in boolean_permutations(n):
                 ours = canonical_from_heap(heap_of(w))
                 theirs = canonical_from_heap(heap_of(w.inverse()))
@@ -143,7 +143,7 @@ class TestStructuralInvariants:
         # the stored partition is authoritative; greedy re-decomposition of the
         # flat word is not asserted equal, only observed (and round-tripped)
         divergences = 0
-        for n in range(1, 7):
+        for n in range(1, 11):
             for w in boolean_permutations(n):
                 canonical = canonical_from_heap(heap_of(w))
                 greedy = run_decomposition(canonical.word)

@@ -36,13 +36,13 @@ PUBLIC_NAMES = [
     "StandardTableau", "Subsequence", "UlamMove", "UncrowdedCounts", "Word",
     "all_permutations", "all_reduced_words", "apply_ulam_move", "binary_word_from_tableau",
     "boolean_permutations", "canonical", "canonical_from_heap", "canonical_from_word",
-    "commutation_class", "count_uncrowded", "count_uncrowded_range", "crowding_witness",
-    "errors", "evaluate", "from_one_line", "heap_of", "identity", "is_feasible_second_row",
-    "is_reduced", "is_uncrowded", "is_uncrowded_tableau", "leftmost_letters",
-    "linear_extensions", "odd_run_words", "optimal_run_word", "partial_insertion",
-    "permutation", "realize_leftmost_letters", "reduced_word_of", "rightmost_letters",
-    "row2_from_canonical", "rsk", "run_decomposition", "run_statistic", "run_step", "runstat",
-    "shape_of", "tableau_from_binary_word", "ulam_sort", "uncrowded", "words",
+    "count_uncrowded", "count_uncrowded_range", "crowding_witness", "errors", "evaluate",
+    "heap_of", "identity", "is_feasible_second_row", "is_reduced", "is_uncrowded",
+    "is_uncrowded_tableau", "leftmost_letters", "linear_extensions", "odd_run_words",
+    "optimal_run_word", "permutation", "realize_leftmost_letters", "reduced_word_of",
+    "rightmost_letters", "row2_from_canonical", "rsk", "run_decomposition", "run_statistic",
+    "run_step", "runstat", "shape_of", "tableau_from_binary_word", "ulam_sort", "uncrowded",
+    "words",
 ]
 SUBMODULE_NAMES = ["canonical", "errors", "permutation", "runstat", "uncrowded", "words"]
 

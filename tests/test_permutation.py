@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boolrsk import Permutation, Word, all_permutations, evaluate, from_one_line, identity
+from boolrsk import Permutation, Word, all_permutations, boolean_permutations, evaluate, identity
 
-from oracles import contains_pattern_naive, lis_length, times_letters
+from oracles import boolean_permutations_by_filter, contains_pattern_naive, lis_length, times_letters
 
 
 def P(*values):
@@ -15,27 +15,27 @@ def P(*values):
 
 class TestConstruction:
     def test_from_one_line(self):
-        w = from_one_line([5, 1, 3, 4, 2])
+        w = Permutation([5, 1, 3, 4, 2])
         assert w.entries == (5, 1, 3, 4, 2)
         assert w.n == 5
 
     def test_identity_case(self):
-        assert from_one_line([1, 2, 3]) == identity(3)
+        assert Permutation([1, 2, 3]) == identity(3)
         assert identity(3).is_identity()
 
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            from_one_line([2, 2, 1])
+            Permutation([2, 2, 1])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="range"):
-            from_one_line([0, 1])
+            Permutation([0, 1])
         with pytest.raises(ValueError, match="range"):
-            from_one_line([1, 3])
+            Permutation([1, 3])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            from_one_line([])
+            Permutation([])
 
     def test_display(self):
         assert str(P(5, 1, 3, 4, 2)) == "51342"
@@ -154,6 +154,34 @@ class TestBooleanPredicates:
             for w in all_permutations(n):
                 if w.is_boolean():
                     assert w.is_fully_commutative()
+
+
+class TestBooleanPermutations:
+    def test_equals_the_filter_on_s1_to_s9(self):
+        for n in range(1, 10):
+            built = list(boolean_permutations(n))
+            assert len(set(built)) == len(built)
+            assert set(built) == set(boolean_permutations_by_filter(n)), n
+
+    def test_counts_are_odd_fibonacci_numbers_up_to_degree_14(self):
+        # S_n has F(2n-1) boolean elements (Tenner 2007)
+        fibonacci = [0, 1]
+        while len(fibonacci) < 28:
+            fibonacci.append(fibonacci[-1] + fibonacci[-2])
+        for n in range(1, 15):
+            assert sum(1 for _ in boolean_permutations(n)) == fibonacci[2 * n - 1], n
+
+    def test_the_first_of_s14_is_built_alone(self, monkeypatch):
+        import boolrsk.canonical as canonical
+
+        built = []
+        build = canonical._canonical_from_orientation
+        monkeypatch.setattr(
+            canonical, "_canonical_from_orientation",
+            lambda orient, n: built.append(tuple(orient)) or build(orient, n),
+        )
+        assert next(boolean_permutations(14)) == identity(14)
+        assert built == [(None,) * 14]
 
 
 class TestSupport:

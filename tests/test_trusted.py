@@ -26,10 +26,12 @@ from boolrsk import (
     all_reduced_words,
     apply_ulam_move,
     binary_word_from_tableau,
-    commutation_class,
     count_uncrowded,
+    crowding_witness,
     count_uncrowded_range,
     identity,
+    is_feasible_second_row,
+    is_uncrowded,
     linear_extensions,
     odd_run_words,
     realize_leftmost_letters,
@@ -38,7 +40,6 @@ from boolrsk import (
     tableau_from_binary_word,
 )
 from boolrsk._value import Value
-from boolrsk.rsk import partial_insertion
 from boolrsk.runstat import UlamMove
 
 from oracles import binary_word_by_windows, reduced_word_count
@@ -78,14 +79,6 @@ BOUNDARY = [
             f"position {p} out of range 1..3", id=f"ulam move from position {p}",
         )
         for p in (0, -1, 4)
-    ),
-    pytest.param(
-        lambda: partial_insertion(W, 0), ValueError, "prefix length 0 out of range 1..3",
-        id="partial_insertion(w, 0)",
-    ),
-    pytest.param(
-        lambda: partial_insertion(W, 4), ValueError, "prefix length 4 out of range 1..3",
-        id="partial_insertion(w, n + 1)",
     ),
     pytest.param(
         lambda: tableau_from_binary_word(BinaryWord((0, 1, 1))), DomainError,
@@ -186,10 +179,6 @@ BOUNDARY = [
         "value 2.5 out of range 1..3", id="ulam move after value 2.5",
     ),
     pytest.param(
-        lambda: partial_insertion(W, 1.5), ValueError, "prefix length 1.5 out of range 1..3",
-        id="partial_insertion(w, 1.5)",
-    ),
-    pytest.param(
         lambda: list(odd_run_words(2.5)), ValueError, "degree 2.5 is not an integer",
         id="odd_run_words(2.5)",
     ),
@@ -212,6 +201,22 @@ BOUNDARY = [
     pytest.param(
         lambda: BinaryWord((1.0,)), ValueError, "bits must be 0 or 1", id="BinaryWord((1.0,))"
     ),
+    pytest.param(
+        lambda: Heap(frozenset({1, 2}), frozenset(), 3), ValueError,
+        "elements 1 and 2 have no cover", id="Heap with no cover between two elements",
+    ),
+    pytest.param(
+        lambda: crowding_witness([1.5, 2]), ValueError, "element 1.5 is not an integer",
+        id="crowding_witness([1.5, 2])",
+    ),
+    pytest.param(
+        lambda: is_feasible_second_row([2.5]), ValueError, "element 2.5 is not an integer",
+        id="is_feasible_second_row([2.5])",
+    ),
+    pytest.param(
+        lambda: tableau_from_binary_word(BinaryWord((False, True, True))), DomainError,
+        "011 has an even block of 1s", id="even block of bool 1s",
+    ),
 ]
 
 
@@ -229,12 +234,13 @@ def test_a_bool_degree_passes_as_an_integer_does():
     assert Heap(frozenset(), frozenset(), True).n is True
     assert CanonicalWord((), (), True).n is True
     assert CanonicalWord((), (), True).word.n is True
-    assert partial_insertion(W, True).rows == ((2,),)
     assert [word.bits for word in odd_run_words(True)] == [()]
     assert count_uncrowded(True).total == list(count_uncrowded_range(True, True))[0].total == 1
     assert realize_leftmost_letters((), True).n is True
     assert realize_leftmost_letters((True,), 3).inc_runs == (RunWord((1, 2)),)
     assert BinaryWord((True, False)).bits == (True, False)
+    assert str(BinaryWord((True, False))) == "10"
+    assert is_uncrowded((True, 3)) and not is_feasible_second_row((True,))
 
 
 @pytest.fixture
@@ -296,8 +302,6 @@ def test_reduced_words_by_moves_up_to_degree_5(checked_builds):
     for w in permutations_up_to(5):
         words = all_reduced_words(w)
         assert len(set(words)) == len(words) == reduced_word_count(w.entries), w
-        commuting = commutation_class(words[0])
-        assert words[0] in commuting and set(commuting) <= set(words), w
         assert (w.inverse() * w).is_identity()
     assert checked_builds.keys() >= {"Word", "Permutation"}
 

@@ -203,7 +203,7 @@ class TestTableauToWord:
     def test_small_roundtrip(self):
         word = binary_word_from_tableau(T([1, 2], [3, 4]))
         assert word == bits("111")
-        assert word.has_odd_one_runs()
+        assert all(length % 2 for _, length in word.one_runs())
         assert tableau_from_binary_word(word) == T([1, 2], [3, 4])
 
     def test_crowded_rejected(self):
@@ -243,7 +243,8 @@ class TestEnumeration:
             words = [word.bits for word in odd_run_words(n)]
             assert words == sorted(words)
             assert len(words) == len(set(words))
-            assert all(BinaryWord(bits_).has_odd_one_runs() for bits_ in words)
+            for bits_ in words:
+                assert all(length % 2 for _, length in BinaryWord(bits_).one_runs())
 
 
 class TestCounts:

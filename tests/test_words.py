@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from boolrsk import (
     DegreeLimitError,
-    DomainError,
     Heap,
     NotBooleanError,
     Permutation,
@@ -15,7 +14,6 @@ from boolrsk import (
     all_permutations,
     all_reduced_words,
     boolean_permutations,
-    commutation_class,
     evaluate,
     heap_of,
     identity,
@@ -26,6 +24,7 @@ from boolrsk import (
 )
 
 from oracles import (
+    commutation_class_by_swaps,
     linear_extension_count,
     linear_extensions_brute,
     reduced_word_by_leftmost_descent,
@@ -174,37 +173,19 @@ class TestAllReducedWords:
 
 
 class TestCommutationClass:
-    def test_commuting_pair(self):
-        words = {word.letters for word in commutation_class(Word((1, 3), 4))}
-        assert words == {(1, 3), (3, 1)}
-
-    def test_braid_word_is_alone(self):
-        words = {word.letters for word in commutation_class(Word((1, 2, 1), 3))}
-        assert words == {(1, 2, 1)}
-
-    def test_non_reduced_rejected(self):
-        with pytest.raises(DomainError, match="reduced"):
-            commutation_class(Word((1, 1), 3))
-
-    def test_degree_guard(self):
-        with pytest.raises(DegreeLimitError):
-            commutation_class(Word((1,), 10))
-
     def test_boolean_class_is_all_reduced_words(self):
         for n in range(1, 7):
             for w in boolean_permutations(n):
                 whole = {word.letters for word in all_reduced_words(w)}
-                one_class = {
-                    word.letters for word in commutation_class(reduced_word_of(w))
-                }
-                assert one_class == whole
+                assert commutation_class_by_swaps(reduced_word_of(w).letters) == whole
 
     def test_one_class_exactly_when_fully_commutative(self):
         # a 321 in w allows a braid move, which leaves the commutation class
         for n in range(1, 6):
             for w in all_permutations(n):
-                whole = all_reduced_words(w)
-                assert (commutation_class(whole[0]) == whole) == w.is_fully_commutative(), w
+                whole = {word.letters for word in all_reduced_words(w)}
+                one_class = commutation_class_by_swaps(min(whole)) == whole
+                assert one_class == w.is_fully_commutative(), w
 
 
 class TestHeap:
@@ -236,6 +217,16 @@ class TestHeap:
             Heap(frozenset({1, 3}), frozenset({(1, 3)}), 5)
         with pytest.raises(ValueError, match="orientation"):
             Heap(frozenset({1, 2}), frozenset({(1, 2), (2, 1)}), 5)
+
+    def test_consecutive_elements_need_a_cover(self):
+        # with no cover between 1 and 2 the words 12 and 21 evaluate differently
+        with pytest.raises(ValueError, match="^elements 2 and 3 have no cover$"):
+            Heap(frozenset({1, 2, 3, 4}), frozenset({(1, 2), (4, 3)}), 5)
+        # every earlier check keeps its message
+        with pytest.raises(ValueError, match="^element 2 out of range 1..1$"):
+            Heap(frozenset({1, 2}), frozenset(), 2)
+        with pytest.raises(ValueError, match="^degree 2.5 is not an integer$"):
+            Heap(frozenset({1, 2}), frozenset(), 2.5)
 
     def test_orientation_agrees_with_every_reduced_word(self):
         for n in range(1, 8):
