@@ -1,12 +1,12 @@
 """``boolrsk rho``: one run-multiplication step toward the identity."""
 
-from ..runstat import _least_missing, _step
+from ..runstat import _least_missing, run_step
 from ..textio import format_flat_word, space_separated
 
 
 def run(w):
     lis = w.lex_least_lis()
-    step = _step(w, lis)
+    step = run_step(w)  # reuses the LIS just taken
     length_before, length_after = w.length(), step.result.length()
     result = {
         "lis_values": list(lis.values),

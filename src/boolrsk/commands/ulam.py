@@ -2,13 +2,13 @@
 
 from itertools import accumulate
 
-from ..runstat import _moves_from_runs, apply_ulam_move, optimal_run_word
+from ..runstat import apply_ulam_move, optimal_run_word, ulam_sort
 from ..textio import format_run_word
 
 
 def run(w):
     runs = optimal_run_word(w)
-    moves = list(_moves_from_runs(w, runs))
+    moves = ulam_sort(w)  # reads the run word just built
     states = list(accumulate(moves, apply_ulam_move, initial=w))[1:]
     result = {
         "optimal_run_word": [list(run.letters) for run in runs],

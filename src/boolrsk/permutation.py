@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
+from functools import lru_cache
 from operator import sub
 
 from ._value import Value
@@ -276,38 +277,45 @@ class Permutation(Value):
         >>> Permutation((5, 1, 6, 4, 2, 7, 3, 8)).lex_least_lis().values
         (1, 2, 3, 8)
         """
-        entries = self.entries
-        tails: list[int] = []  # tails[k]: least -w(i) seen on level k + 1
-        levels: list[list[int]] = []  # levels[k]: values on level k + 1, ascending
-        for v in reversed(entries):
-            k = bisect_left(tails, -v)
-            if k == len(tails):
-                tails.append(-v)
-                levels.append([v])
-            else:
-                tails[k] = -v
-                levels[k].append(v)
-        positions = []
-        values = []
-        floor_val = floor_pos = 0
-        for level in reversed(levels):
-            floor_val = level[bisect_right(level, floor_val)]
-            floor_pos = entries.index(floor_val, floor_pos) + 1
-            positions.append(floor_pos)
-            values.append(floor_val)
-        return Subsequence(tuple(positions), tuple(values))
+        return _least_lis(self.entries)
 
     def __str__(self) -> str:
         return format_letters(self.entries)
 
 
+@lru_cache(maxsize=1)  # the last LIS: the statistic and the first step reuse it
+def _least_lis(entries: tuple[int, ...]) -> Subsequence:
+    """``Permutation(entries).lex_least_lis()``."""
+    tails: list[int] = []  # tails[k]: least -w(i) seen on level k + 1
+    levels: list[list[int]] = []  # levels[k]: values on level k + 1, ascending
+    for v in reversed(entries):
+        k = bisect_left(tails, -v)
+        if k == len(tails):
+            tails.append(-v)
+            levels.append([v])
+        else:
+            tails[k] = -v
+            levels[k].append(v)
+    positions = []
+    values = []
+    floor_val = floor_pos = 0
+    for level in reversed(levels):
+        floor_val = level[bisect_right(level, floor_val)]
+        floor_pos = entries.index(floor_val, floor_pos) + 1
+        positions.append(floor_pos)
+        values.append(floor_val)
+    return Subsequence(tuple(positions), tuple(values))
+
+
 def identity(n: int) -> Permutation:
+    if not isinstance(n, int):
+        raise ValueError(f"degree {n} is not an integer")
     return Permutation(tuple(range(1, n + 1)))
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     """Every element of S_n, in lexicographic order of one-line notation."""
-    for entries in itertools.permutations(range(1, n + 1)):
+    for entries in itertools.permutations(identity(n).entries):
         yield Permutation(entries)
 
 

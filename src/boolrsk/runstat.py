@@ -12,7 +12,7 @@ with a minimum number of delete-and-reinsert (Ulam) moves.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterator
+from functools import lru_cache
 
 from ._value import Value
 from .errors import DomainError
@@ -63,16 +63,7 @@ def run_step(w: Permutation) -> RunStep:
     the values, so each step builds one permutation and checks none.  All of
     1..q-1 open the least LIS, so q, the position of q-1 and j are read off it.
     """
-    return _step(w, w.lex_least_lis())
-
-
-def _least_missing(lis: Subsequence) -> int:
-    """q, the least value missing from ``lis``: 1..q-1 open a least LIS."""
-    return next((v for v, u in enumerate(lis.values, start=1) if u != v), len(lis) + 1)
-
-
-def _step(w: Permutation, lis: Subsequence) -> RunStep:
-    """run_step(w) given ``lis``, the least LIS of w."""
+    lis = w.lex_least_lis()
     if len(lis) == w.n:
         raise DomainError("the identity permutation admits no step")
     q = _least_missing(lis)
@@ -102,6 +93,11 @@ def _step(w: Permutation, lis: Subsequence) -> RunStep:
     return RunStep(u, run, "left", CASE_LEFT_OF_PREDECESSOR)
 
 
+def _least_missing(lis: Subsequence) -> int:
+    """q, the least value missing from ``lis``: 1..q-1 open a least LIS."""
+    return next((v for v, u in enumerate(lis.values, start=1) if u != v), len(lis) + 1)
+
+
 def run_statistic(w: Permutation) -> int:
     """n minus the length of a longest increasing subsequence; equivalently
     the fewest runs concatenating to a reduced word for w (and the fewest in
@@ -119,18 +115,20 @@ def optimal_run_word(w: Permutation) -> tuple[RunWord, ...]:
     >>> [r.letters for r in optimal_run_word(Permutation((5, 1, 6, 4, 2, 7, 3, 8)))]
     [(3, 2), (4, 3, 2, 1), (5, 4, 3), (6,)]
     """
-    # Each step lengthens the least LIS by one, so the first one counts the steps
+    return _run_word(w)
+
+
+@lru_cache(maxsize=1)  # the last run word: ulam_sort(w) after it runs no second loop
+def _run_word(w: Permutation) -> tuple[RunWord, ...]:
+    # Each step lengthens the least LIS by one, so the statistic counts the steps
     # and the loop stops at the last step, with no LIS taken of the identity.
     # Each reversed run is filed as its step is made, so no step outlives the next.
     left: list[RunWord] = []
     right: list[RunWord] = []
-    u, lis = w, w.lex_least_lis()
-    for k in range(w.n - len(lis)):
-        if k:
-            lis = u.lex_least_lis()
-        step = _step(u, lis)
+    for _ in range(run_statistic(w)):
+        step = run_step(w)
         (left if step.side == "left" else right).append(step.run.reversed())
-        u = step.result
+        w = step.result
     return tuple(left + right[::-1])
 
 
@@ -166,14 +164,8 @@ def ulam_sort(w: Permutation) -> tuple[UlamMove, ...]:
     multiplying by a reversed run on the right deletes one entry and reinserts
     it, which is exactly an Ulam move.  The move count is run_statistic(w).
     """
-    return tuple(_moves_from_runs(w, optimal_run_word(w)))
-
-
-def _moves_from_runs(w: Permutation, runs: tuple[RunWord, ...]) -> Iterator[UlamMove]:
-    """Each Ulam move read off ``runs``, an optimal run word for w, applied
-    in turn to one list of entries."""
-    values = list(w.entries)
-    for run in reversed(runs):
+    values, moves = list(w.entries), []
+    for run in reversed(optimal_run_word(w)):
         # the move is the right multiplication by the run read backwards
         if run.last <= run.first:
             # ascending backwards, a = last to b = first: position a slides right to b+1
@@ -182,5 +174,6 @@ def _moves_from_runs(w: Permutation, runs: tuple[RunWord, ...]) -> Iterator[Ulam
             # descending backwards, b = last to a = first: position b+1 slides left to a
             move = UlamMove(run.last + 1, values[run.first - 2] if run.first > 1 else None)
         _apply_move(values, move)
-        yield move
+        moves.append(move)
     assert values == sorted(values)
+    return tuple(moves)

@@ -106,6 +106,8 @@ def realize_leftmost_letters(letters: Iterable[int], n: int) -> CanonicalWord:
     for a in wanted:
         if not (isinstance(a, int) and 1 <= a <= n - 1):
             raise DomainError(f"letter {a} out of range 1..{n - 1}")
+    if n < 1:
+        raise ValueError("degree must be at least 1")
     witness = crowding_witness(set(wanted) | {0})
     if witness is not None:
         y, x, count = witness

@@ -41,7 +41,6 @@ from boolrsk import (
     ulam_sort,
 )
 from boolrsk.acceptance import canonical_by_peeling
-from boolrsk.runstat import _moves_from_runs
 
 from oracles import (
     avoids_321_by_suffix_min,
@@ -650,23 +649,19 @@ class TestRunStep:
         assert str(fast.value) == str(slow.value)
 
 
-def assert_run_word_and_moves_match_slow_paths(w, check_ulam_sort=True):
-    """``check_ulam_sort=False`` skips ``ulam_sort``, which runs the step map
-    once more to repeat the moves already compared."""
+def assert_run_word_and_moves_match_slow_paths(w):
     runs = optimal_run_word(w)
     assert runs == optimal_run_word_by_insertion(w), w
-    moves = tuple(_moves_from_runs(w, runs))
+    moves = ulam_sort(w)
     states = list(itertools.accumulate(moves, apply_ulam_move, initial=w))[1:]
     assert list(zip(moves, states)) == moves_from_runs_by_words(w, runs), w
-    if check_ulam_sort:
-        assert ulam_sort(w) == moves
 
 
 class TestRunWordAndUlamMoves:
     def test_exhaustive_small_groups(self):
         for n in range(1, 9):
             for w in all_permutations(n):
-                assert_run_word_and_moves_match_slow_paths(w, n < 8)
+                assert_run_word_and_moves_match_slow_paths(w)
 
     def test_random_degrees_50_to_300(self):
         rng = random.Random(3301)

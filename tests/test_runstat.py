@@ -29,7 +29,6 @@ from boolrsk.runstat import (
     CASE_LEFT_OF_PREDECESSOR,
     CASE_MISSING_ONE,
     CASE_RIGHT_OF_PREDECESSOR,
-    _moves_from_runs,
 )
 
 
@@ -221,8 +220,7 @@ class TestUlamSort:
         # the states the ulam command prints, against the moves replayed one by one
         for n in range(1, 7):
             for w in all_permutations(n):
-                moves = tuple(_moves_from_runs(w, optimal_run_word(w)))
-                assert moves == ulam_sort(w)
+                moves = ulam_sort(w)
                 result, _ = ulam_command.run(w)
                 assert result["moves"] == [
                     {"pos": m.from_position, "after": m.insert_after_value} for m in moves

@@ -26,6 +26,7 @@ from boolrsk import (
     all_reduced_words,
     apply_ulam_move,
     binary_word_from_tableau,
+    boolean_permutations,
     count_uncrowded,
     crowding_witness,
     count_uncrowded_range,
@@ -34,13 +35,15 @@ from boolrsk import (
     is_uncrowded,
     linear_extensions,
     odd_run_words,
+    optimal_run_word,
     realize_leftmost_letters,
     rsk,
     shape_of,
     tableau_from_binary_word,
 )
 from boolrsk._value import Value
-from boolrsk.runstat import UlamMove
+from boolrsk.permutation import _least_lis
+from boolrsk.runstat import UlamMove, _run_word
 
 from oracles import binary_word_by_windows, reduced_word_count
 import test_fast_paths as fast
@@ -58,6 +61,17 @@ BOUNDARY = [
     ),
     pytest.param(
         lambda: identity(0), ValueError, "one-line notation must not be empty", id="identity(0)"
+    ),
+    pytest.param(
+        lambda: identity(1.5), ValueError, "degree 1.5 is not an integer", id="identity(1.5)"
+    ),
+    pytest.param(
+        lambda: list(all_permutations(1.5)), ValueError, "degree 1.5 is not an integer",
+        id="all_permutations(1.5)",
+    ),
+    pytest.param(
+        lambda: list(boolean_permutations(1.5)), ValueError, "degree 1.5 is not an integer",
+        id="boolean_permutations(1.5)",
     ),
     pytest.param(
         lambda: Permutation(()), ValueError, "one-line notation must not be empty",
@@ -199,6 +213,14 @@ BOUNDARY = [
         id="realize letter 1.5",
     ),
     pytest.param(
+        lambda: realize_leftmost_letters([], 0), ValueError, "degree must be at least 1",
+        id="realize nothing at degree 0",
+    ),
+    pytest.param(
+        lambda: realize_leftmost_letters((1,), 0), DomainError, "letter 1 out of range 1..-1",
+        id="realize letter 1 at degree 0",
+    ),
+    pytest.param(
         lambda: BinaryWord((1.0,)), ValueError, "bits must be 0 or 1", id="BinaryWord((1.0,))"
     ),
     pytest.param(
@@ -237,17 +259,26 @@ def test_a_bool_degree_passes_as_an_integer_does():
     assert [word.bits for word in odd_run_words(True)] == [()]
     assert count_uncrowded(True).total == list(count_uncrowded_range(True, True))[0].total == 1
     assert realize_leftmost_letters((), True).n is True
+    assert identity(True).entries == (1,)
+    assert list(all_permutations(True)) == list(boolean_permutations(True)) == [identity(1)]
     assert realize_leftmost_letters((True,), 3).inc_runs == (RunWord((1, 2)),)
     assert BinaryWord((True, False)).bits == (True, False)
     assert str(BinaryWord((True, False))) == "10"
     assert is_uncrowded((True, 3)) and not is_feasible_second_row((True,))
 
 
+def clear_caches():
+    _least_lis.cache_clear()
+    _run_word.cache_clear()
+
+
 @pytest.fixture
 def checked_builds(monkeypatch):
     """Make each ``_trusted`` build also build its value through the checked
     constructor, which must accept the fields and store equal ones of the
-    identical type.  Returns the count of checked builds per class name."""
+    identical type.  Yields the count of checked builds per class name.  The
+    one-entry caches are emptied as the patch goes in and as it comes out, so
+    no check is served a result built the other way."""
     built = Counter()
 
     def checking(trusted):
@@ -268,8 +299,11 @@ def checked_builds(monkeypatch):
         return classmethod(build)
 
     # CanonicalWord, the one dataclass, inherits ``_trusted`` from Value too
+    clear_caches()
     monkeypatch.setattr(Value, "_trusted", checking(Value._trusted.__func__))
-    return built
+    yield built
+    monkeypatch.undo()
+    clear_caches()
 
 
 def test_the_harness_catches_a_bad_build(checked_builds):
@@ -279,6 +313,17 @@ def test_the_harness_catches_a_bad_build(checked_builds):
         Permutation._trusted([2, 1])  # the checked constructor stores a tuple
     assert Permutation._trusted((2, 1)) == Permutation((2, 1))
     assert checked_builds == {"Permutation": 1}
+
+
+def test_no_result_cached_before_the_patch_is_served_under_it(request):
+    w = Permutation((5, 1, 6, 4, 2, 7, 3, 8))
+    runs, lis = optimal_run_word(w), w.lex_least_lis()  # both caches now hold w's
+    built = request.getfixturevalue("checked_builds")
+    again = w.lex_least_lis()
+    assert again == lis and again is not lis
+    again = optimal_run_word(w)
+    assert again == runs and again is not runs
+    assert built["RunWord"] >= len(runs) and built["Permutation"] > 0
 
 
 def permutations_up_to(n):
@@ -294,7 +339,7 @@ def test_step_map_on_s1_to_s7(checked_builds):
 
 def test_run_words_and_ulam_moves_on_s1_to_s7(checked_builds):
     for w in permutations_up_to(7):
-        assert_run_word_and_moves_match_slow_paths(w, check_ulam_sort=w.n < 7)
+        assert_run_word_and_moves_match_slow_paths(w)
     assert checked_builds.keys() >= {"Permutation", "RunWord"}
 
 
