@@ -2,6 +2,7 @@
 
 from ..canonical import (
     canonical_from_heap, canonical_from_word, leftmost_letters, rightmost_letters)
+from ..errors import ParseError
 from ..rsk import row2_from_canonical
 from ..textio import (
     format_flat_word, format_int_set, format_run_word, parse_int_list, parse_permutation,
@@ -12,6 +13,8 @@ from . import _canonical_payload, _check_letters, _checked_size
 
 def run(args):
     lines = []
+    if args["degree"] is not None and not args["from_word"]:
+        raise ParseError("--degree applies only with --from-word")
     if args["from_word"]:
         letters = parse_int_list(args["word_or_perm"])
         degree = max(letters, default=0) + 1 if args["degree"] is None else args["degree"]

@@ -9,6 +9,8 @@ from . import _canonical_payload, _check_letters, _checked_size, _tableau_payloa
 
 
 def run(args):
+    if args["degree"] is not None and args["what"] != "realize":
+        raise ParseError("--degree applies only to realize")
     if args["what"] == "set":
         values = frozenset(parse_int_list(args["value"]))
         verdict, verdict_line = _verdict(crowding_witness(values))

@@ -26,7 +26,7 @@ class CrowdedError(DomainError):
 
 
 class DegreeLimitError(DomainError):
-    """Exhaustive enumeration requested beyond its degree guard."""
+    """Exhaustive enumeration requested past its degree or word-count guard."""
 
 
 class ParseError(ValueError):

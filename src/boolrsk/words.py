@@ -1,25 +1,26 @@
 """Words in the adjacent-transposition generators, their runs, and heaps.
 
 A word is a sequence of letters in 1..n-1; letter i names the transposition
-swapping i and i+1.  For a boolean permutation every reduced word uses each
-support letter exactly once, so the relative order of the letters i and i+1
-is the same in all of its reduced words.  That order is recorded here as a
-partial order (a "heap") on the support whose linear extensions are exactly
-the reduced words.  The 0/1 words that encode uncrowded tableaux (see
-``uncrowded``) are kept here beside the other word types.
+swapping i and i+1.  All reduced words of a permutation come from one
+depth-first walk over its left descents.  For a boolean permutation every
+reduced word uses each support letter exactly once, so the relative order of
+the letters i and i+1 is the same in all of them.  That order is recorded
+here as a partial order (a "heap") on the support whose linear extensions
+are exactly the reduced words.  The 0/1 words that encode uncrowded
+tableaux (see ``uncrowded``) are kept here beside the other word types.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections.abc import Iterator
-from itertools import repeat
+from itertools import islice, repeat
 from operator import sub
 
 from ._value import Value
 from .errors import DegreeLimitError, NotBooleanError
 
 ENUMERATION_DEGREE_LIMIT = 9
+ENUMERATION_WORD_LIMIT = 300_000  # w0 of S_6 has 292 864 reduced words
 _RUN_STEPS = (frozenset({1}), frozenset({-1}))  # the steps a run of two or more letters may take
 
 
@@ -244,80 +245,64 @@ def heap_of(w: Permutation) -> Heap:
 
 
 def linear_extensions(heap: Heap) -> Iterator[Word]:
-    """All linear extensions of the heap, in lexicographic order of letters.
+    """All linear extensions of the heap, in lexicographic order of letters:
+    the reduced words of the permutation that its canonical word evaluates to."""
+    from .canonical import canonical_from_heap  # here: canonical imports this module
 
-    For the heap of a boolean permutation these are exactly its reduced words.
-    A depth-first search with an explicit stack: the placed elements are
-    the stack, and ``available`` holds, in order, the unplaced elements whose
-    lower covers are all placed.  Backtracking puts the last element back and
-    tries the next available one above it, so no recursion depth grows with
-    the heap.
+    return _reduced_words(evaluate(canonical_from_heap(heap).word))
+
+
+def _reduced_words(w: Permutation) -> Iterator[Word]:
+    """Every reduced word for w, once each, in lexicographic order.
+
+    A reduced word starts with a exactly when the value a+1 sits left of the
+    value a, and goes on with a reduced word of s_a·w, which swaps the two.
+    The walk takes such letters least first over a ``position`` list, on an
+    explicit stack, and swaps them back on the way up; no branch ends short
+    of a word.  A child's scan starts at the smaller of a - 1 and the least
+    letter taken at its parent's depth: s_a leaves the letters below both
+    untakable.  Each step scans at most n letters.
     """
-    above: dict[int, list[int]] = {e: [] for e in heap.elements}
-    waiting = dict.fromkeys(heap.elements, 0)  # lower covers not yet placed
-    for x, y in heap.covers:
-        above[x].append(y)
-        waiting[y] += 1
-    available = sorted(e for e, count in waiting.items() if not count)
-    sequence: list[int] = []
-    k = 0  # index in ``available`` of the next element to try at this depth
+    n = w.n
+    position = [0] * (n + 1)
+    for i, v in enumerate(w.entries):
+        position[v] = i
+    letters: list[int] = []
+    firsts: list[int] = []  # the least letter taken at each depth above this one
+    a, first = 1, 0  # the next letter to try at this depth; the least one taken (0: none)
     while True:
-        if len(sequence) == len(waiting):
-            # the heap's elements, which lie in 1..n-1
-            yield Word._trusted(tuple(sequence), heap.n)
-        if k < len(available):
-            e = available.pop(k)
-            sequence.append(e)
-            for y in above[e]:
-                waiting[y] -= 1
-                if not waiting[y]:
-                    insort(available, y)
-            k = 0
+        while a < n and position[a] < position[a + 1]:
+            a += 1
+        if a < n:
+            first = first or a
+            position[a], position[a + 1] = position[a + 1], position[a]
+            letters.append(a)
+            firsts.append(first)
+            a, first = max(min(first, a - 1), 1), 0
             continue
-        if not sequence:
+        if not first:  # no letter to take: the walk has reached the identity
+            # each letter a taken had a < n
+            yield Word._trusted(tuple(letters), n)
+        if not letters:
             return
-        e = sequence.pop()
-        for y in above[e]:
-            if not waiting[y]:
-                available.remove(y)
-            waiting[y] += 1
-        k = bisect_left(available, e)
-        available.insert(k, e)
-        k += 1
-
-
-def _word_moves(letters: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Words one commutation move or one braid move away."""
-    for i in range(len(letters) - 1):
-        a, b = letters[i], letters[i + 1]
-        if abs(a - b) > 1:
-            yield letters[:i] + (b, a) + letters[i + 2 :]
-    for i in range(len(letters) - 2):
-        a, b, c = letters[i], letters[i + 1], letters[i + 2]
-        if a == c and abs(a - b) == 1:
-            yield letters[:i] + (b, a, b) + letters[i + 3 :]
+        a, first = letters.pop(), firsts.pop()
+        position[a], position[a + 1] = position[a + 1], position[a]
+        a += 1
 
 
 def all_reduced_words(w: Permutation) -> list[Word]:
     """Every reduced word for w, sorted lexicographically.
 
-    Boolean permutations go through their heap; anything else is closed under
-    commutation and braid moves starting from one reduced word.  Guarded to
-    small degrees, since |R(w)| grows factorially.
+    Guarded by the degree and by the number of words, since |R(w)| grows
+    factorially: the walk stops one word past ``ENUMERATION_WORD_LIMIT``.
     """
     if w.n > ENUMERATION_DEGREE_LIMIT:
         raise DegreeLimitError(
             f"degree {w.n} exceeds the enumeration limit {ENUMERATION_DEGREE_LIMIT}"
         )
-    if w.is_boolean():
-        return list(linear_extensions(heap_of(w)))
-    start = reduced_word_of(w).letters
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        for other in _word_moves(frontier.pop()):
-            if other not in seen:
-                seen.add(other)
-                frontier.append(other)
-    # every move reuses letters already in the reduced word
-    return [Word._trusted(letters, w.n) for letters in sorted(seen)]
+    words = list(islice(_reduced_words(w), ENUMERATION_WORD_LIMIT + 1))
+    if len(words) > ENUMERATION_WORD_LIMIT:
+        raise DegreeLimitError(
+            f"more than {ENUMERATION_WORD_LIMIT} reduced words, past the enumeration limit"
+        )
+    return words

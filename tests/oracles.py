@@ -3,8 +3,9 @@
 These deliberately use different algorithms from the library code they
 check: patience sorting instead of the start-anchored DP, permutation
 filtering and memoized counting instead of Kahn enumeration, raw window
-scans instead of element-anchored ones, word filtering instead of move
-closures.  The slow paths that the library's fast ones replaced live here
+scans instead of element-anchored ones, word filtering and the closure under
+commutation and braid moves (Matsumoto's theorem) instead of the walk over
+left descents.  The slow paths that the library's fast ones replaced live here
 too: pairwise inversion counting, backtracking pattern search for the
 boolean test and its later test by inversion count, the suffix-minimum 321
 scan, leftmost-descent rescans for a reduced word, the recursive
@@ -99,7 +100,7 @@ def crowding_witness_scan(values):
 
 def reduced_word_count(entries, _cache={}):
     """|R(w)| by the descent recursion: sum over descents of the count one
-    transposition down.  Independent of the move-closure enumerator."""
+    transposition down.  Independent of the left-descent walk."""
     entries = tuple(entries)
     if entries in _cache:
         return _cache[entries]
@@ -146,6 +147,34 @@ def commutation_class_by_swaps(letters):
                 if other not in seen:
                     seen.add(other)
                     frontier.append(other)
+    return seen
+
+
+def word_moves(letters):
+    """Words one commutation move or one braid move away."""
+    for i in range(len(letters) - 1):
+        a, b = letters[i], letters[i + 1]
+        if abs(a - b) > 1:
+            yield letters[:i] + (b, a) + letters[i + 2 :]
+    for i in range(len(letters) - 2):
+        a, b, c = letters[i], letters[i + 1], letters[i + 2]
+        if a == c and abs(a - b) == 1:
+            yield letters[:i] + (b, a, b) + letters[i + 3 :]
+
+
+def reduced_words_by_moves(w):
+    """R(w) as a set of letter tuples: by Matsumoto's theorem, the closure of
+    one reduced word under commutation and braid moves."""
+    from boolrsk import reduced_word_of
+
+    start = reduced_word_of(w).letters
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for other in word_moves(frontier.pop()):
+            if other not in seen:
+                seen.add(other)
+                frontier.append(other)
     return seen
 
 

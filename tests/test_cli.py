@@ -99,6 +99,19 @@ class TestExitCodes:
     def test_letter_out_of_range_is_two(self, argv, message, form):
         assert run_cli(*argv, *form) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("canonical", "--degree", "5", "2 1"), "--degree applies only with --from-word"),
+            (("uncrowded", "set", "1 3", "--degree", "4"), "--degree applies only to realize"),
+            (("uncrowded", "tableau", "1 2 / 3 4", "--degree", "4"),
+             "--degree applies only to realize"),
+        ],
+    )
+    @pytest.mark.parametrize("form", [(), ("--json",)], ids=["plain", "json"])
+    def test_degree_where_nothing_reads_it_is_two(self, argv, message, form):
+        assert run_cli(*argv, *form) == (2, "", f"error: {message}\n")
+
     def test_count_past_the_index_range_is_two(self):
         done = run_cli_fresh("count", "1..99999999999999999999")
         assert done.returncode == 2

@@ -1,5 +1,10 @@
 """Words, runs, reduced-word enumeration, commutation classes, and heaps."""
 
+import os
+import resource
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +27,7 @@ from boolrsk import (
     reduced_word_of,
     run_decomposition,
 )
+from boolrsk.words import ENUMERATION_WORD_LIMIT
 
 from oracles import (
     commutation_class_by_swaps,
@@ -30,12 +36,29 @@ from oracles import (
     reduced_word_by_leftmost_descent,
     reduced_word_count,
     reduced_words_by_filtering,
+    reduced_words_by_moves,
+    word_moves,
 )
 from test_fast_paths import heap_from_word
 
 
 def P(*values):
     return Permutation(tuple(values))
+
+
+WORD_LIMIT = f"more than {ENUMERATION_WORD_LIMIT} reduced words, past the enumeration limit"
+
+
+def run_capped(*args):
+    """Python run on ``args`` in a child capped at 1 GiB of address space, so
+    that an enumeration of all 1 100 742 656 reduced words of w0 of S_7 fails
+    there within seconds instead of taking the host's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60, preexec_fn=cap)
 
 
 class TestEvaluate:
@@ -145,24 +168,29 @@ class TestAllReducedWords:
             assert {word.letters for word in all_reduced_words(w)} == expected
 
     def test_all_evaluate_and_closed_under_moves(self):
-        from boolrsk.words import _word_moves
-
         for w in all_permutations(5):
             words = {word.letters for word in all_reduced_words(w)}
             for letters in words:
                 assert evaluate(Word(letters, 5)) == w
                 assert len(letters) == w.length()
-                for moved in _word_moves(letters):
+                for moved in word_moves(letters):
                     assert moved in words
+
+    def test_equals_the_sorted_move_closure(self):
+        for n in range(1, 6):
+            for w in all_permutations(n):
+                letters = [word.letters for word in all_reduced_words(w)]
+                assert letters == sorted(reduced_words_by_moves(w)), w
 
     def test_sorted_lexicographically(self):
         words = [word.letters for word in all_reduced_words(P(3, 2, 1))]
         assert words == sorted(words)
 
     def test_counts_match_descent_recursion(self):
-        # moves preserve evaluation and length, so the closure sits inside
-        # R(w); count equality with an independent recursion proves it is all
-        # of R(w).  The full degree-6 sweep enumerates about 1.1 million words.
+        # every word the walk yields is reduced for w (test above), and the
+        # walk yields no word twice, so count equality with an independent
+        # recursion proves it yields all of R(w).  The full degree-6 sweep
+        # enumerates about 1.1 million words.
         for n in range(1, 7):
             for w in all_permutations(n):
                 assert len(all_reduced_words(w)) == reduced_word_count(w.entries), w
@@ -170,6 +198,16 @@ class TestAllReducedWords:
     def test_degree_guard(self):
         with pytest.raises(DegreeLimitError):
             all_reduced_words(identity(10))
+
+    def test_word_limit_stops_w0_of_s7_in_the_library(self):
+        done = run_capped("-c", "from boolrsk import Permutation, all_reduced_words\n"
+                          "all_reduced_words(Permutation((7, 6, 5, 4, 3, 2, 1)))")
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1] == f"boolrsk.errors.DegreeLimitError: {WORD_LIMIT}"
+
+    def test_word_limit_stops_w0_of_s7_in_the_cli(self):
+        done = run_capped("-m", "boolrsk.cli", "words", "7 6 5 4 3 2 1")
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {WORD_LIMIT}\n")
 
 
 class TestCommutationClass:
