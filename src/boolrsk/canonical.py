@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._value import Value
-from .errors import DomainError, NotBooleanError
+from .errors import DomainError, NotBooleanError, _integer
 from .words import Heap, RunWord, Word, evaluate
 
 
@@ -35,9 +35,10 @@ class CanonicalWord(Value):
 
     def __post_init__(self) -> None:
         # One pass per rule, raising at its first violation; a run's ends are its extremes.
-        n, dec, inc = self.n, self.dec_runs, self.inc_runs
-        if not isinstance(n, int):
-            raise ValueError(f"degree {n} is not an integer")
+        _integer(self.n, "degree")
+        n, dec, inc = self.n, tuple(self.dec_runs), tuple(self.inc_runs)
+        object.__setattr__(self, "dec_runs", dec)  # stored as tuples, so hashable
+        object.__setattr__(self, "inc_runs", inc)
         seen: set[int] = set()
         for a in self.letters:
             if not 1 <= a <= n - 1:

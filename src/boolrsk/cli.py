@@ -170,9 +170,15 @@ def _run(argv: list[str]) -> int:
         return 2 if isinstance(exc, ParseError) else 1
     if args["json"]:
         import json  # here, so plain calls load no JSON decoder
+        from itertools import islice
 
         envelope = {"command": command, **head, "format": "json", "result": result}
-        print(json.dumps(envelope, indent=2))
+        # written as it is encoded, 4096 chunks a write: one write per chunk doubles the
+        # time, and one string of the whole envelope holds all of its text at once
+        chunks = json.JSONEncoder(indent=2).iterencode(envelope)
+        while batch := "".join(islice(chunks, 4096)):
+            sys.stdout.write(batch)
+        print()
     else:
         print("\n".join(lines))
     return 0

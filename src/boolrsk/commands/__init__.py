@@ -16,13 +16,6 @@ def _checked_size(what: str, value: int) -> int:
     return value
 
 
-def _check_letters(letters, degree: int) -> None:
-    """A parse error naming the first letter outside 1..degree-1, if any."""
-    for a in letters:
-        if not 1 <= a <= degree - 1:
-            raise ParseError(f"letter {a} out of range 1..{degree - 1}")
-
-
 def _tableau_payload(tableau) -> list[list[int]]:
     return [list(row) for row in tableau.rows]
 

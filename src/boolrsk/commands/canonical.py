@@ -2,13 +2,13 @@
 
 from ..canonical import (
     canonical_from_heap, canonical_from_word, leftmost_letters, rightmost_letters)
-from ..errors import ParseError
+from ..errors import ParseError, _in_range
 from ..rsk import row2_from_canonical
 from ..textio import (
     format_flat_word, format_int_set, format_run_word, parse_int_list, parse_permutation,
     space_separated)
 from ..words import Word, evaluate, heap_of
-from . import _canonical_payload, _check_letters, _checked_size
+from . import _canonical_payload, _checked_size
 
 
 def run(args):
@@ -18,7 +18,7 @@ def run(args):
     if args["from_word"]:
         letters = parse_int_list(args["word_or_perm"])
         degree = max(letters, default=0) + 1 if args["degree"] is None else args["degree"]
-        _check_letters(letters, _checked_size("degree", degree))
+        _in_range(letters, 1, _checked_size("degree", degree) - 1, "letter", ParseError)
         word = Word(tuple(letters), degree)
         canonical = canonical_from_word(word)
         w = evaluate(word)

@@ -1,11 +1,11 @@
 """``boolrsk uncrowded``: window-density checks and realization of leftmost letters."""
 
-from ..errors import ParseError
+from ..errors import ParseError, _in_range
 from ..textio import (
     format_int_set, format_run_word, format_tableau, parse_int_list, parse_tableau,
     space_separated)
 from ..uncrowded import crowding_witness, realize_leftmost_letters, tableau_crowding_witness
-from . import _canonical_payload, _check_letters, _checked_size, _tableau_payload, _verdict
+from . import _canonical_payload, _checked_size, _tableau_payload, _verdict
 
 
 def run(args):
@@ -37,7 +37,7 @@ def run(args):
     if degree is None:
         raise ParseError("realize needs --degree")
     values = frozenset(parse_int_list(args["value"]))
-    _check_letters(sorted(values), _checked_size("degree", degree))
+    _in_range(sorted(values), 1, _checked_size("degree", degree) - 1, "letter", ParseError)
     canonical = realize_leftmost_letters(values, degree)
     w = evaluate(canonical.word)
     head = {"mode": "realize", "input": space_separated(sorted(values)), "degree": degree}

@@ -37,3 +37,16 @@ class ParseError(ValueError):
         if position is not None:
             message = f"{message} (at token {position})"
         super().__init__(message)
+
+
+def _integer(value, what: str) -> None:
+    """The integer rule, for a degree or an element: ``value`` must be an ``int``."""
+    if not isinstance(value, int):
+        raise ValueError(f"{what} {value} is not an integer")
+
+
+def _in_range(values, lo: int, hi: int, what: str, error=ValueError) -> None:
+    """The range rule: ``error`` names the first of ``values`` not an ``int`` in lo..hi."""
+    for v in values:
+        if not (isinstance(v, int) and lo <= v <= hi):
+            raise error(f"{what} {v} out of range {lo}..{hi}")

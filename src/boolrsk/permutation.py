@@ -15,6 +15,7 @@ from functools import lru_cache
 from operator import sub
 
 from ._value import Value
+from .errors import _in_range, _integer
 from .textio import format_letters
 
 _PATTERN_3412 = (3, 4, 1, 2)
@@ -26,8 +27,8 @@ class Subsequence(Value):
     _fields = ("positions", "values")
 
     def __init__(self, positions: tuple[int, ...], values: tuple[int, ...]) -> None:
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "positions", tuple(positions))
+        object.__setattr__(self, "values", tuple(values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -66,15 +67,13 @@ class Permutation(Value):
 
     def __call__(self, i: int) -> int:
         """Apply the permutation to a position: w(i)."""
-        if not (isinstance(i, int) and 1 <= i <= self.n):
-            raise ValueError(f"position {i} out of range 1..{self.n}")
+        _in_range((i,), 1, self.n, "position")
         return self.entries[i - 1]
 
     def position_of(self, value: int) -> int:
         """The position holding ``value``, i.e. the inverse permutation applied
         to it; one O(n) scan, as no inverse table is kept."""
-        if not (isinstance(value, int) and 1 <= value <= self.n):
-            raise ValueError(f"value {value} out of range 1..{self.n}")
+        _in_range((value,), 1, self.n, "value")
         return self.entries.index(value) + 1
 
     def is_identity(self) -> bool:
@@ -308,8 +307,7 @@ def _least_lis(entries: tuple[int, ...]) -> Subsequence:
 
 
 def identity(n: int) -> Permutation:
-    if not isinstance(n, int):
-        raise ValueError(f"degree {n} is not an integer")
+    _integer(n, "degree")
     return Permutation(tuple(range(1, n + 1)))
 
 

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from functools import lru_cache
 
 from ._value import Value
-from .errors import DomainError
+from .errors import DomainError, _in_range
 from .permutation import Permutation, Subsequence
 from .words import RunWord
 
@@ -147,8 +147,7 @@ def apply_ulam_move(w: Permutation, move: UlamMove) -> Permutation:
     moved = w(move.from_position)
     after = move.insert_after_value
     if after is not None:
-        if not (isinstance(after, int) and 1 <= after <= w.n):
-            raise ValueError(f"value {after} out of range 1..{w.n}")
+        _in_range((after,), 1, w.n, "value")
         if after == moved:
             raise ValueError(f"value {after} cannot be inserted after itself")
     values = list(w.entries)

@@ -15,7 +15,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import islice
 
-from .errors import CrowdedError, DomainError
+from .errors import CrowdedError, DomainError, _in_range, _integer
 
 # The sibling modules (canonical, rsk, words) are imported inside the functions
 # that construct their classes, so checking or counting loads only this module.
@@ -25,8 +25,7 @@ def _sorted_integers(values: Iterable[int]) -> list[int]:
     """The distinct values in increasing order; a non-integer is rejected."""
     elements = sorted(set(values))
     for e in elements:
-        if not isinstance(e, int):
-            raise ValueError(f"element {e} is not an integer")
+        _integer(e, "element")
     return elements
 
 
@@ -100,12 +99,9 @@ def realize_leftmost_letters(letters: Iterable[int], n: int) -> CanonicalWord:
     """
     from .canonical import CanonicalWord
 
-    if not isinstance(n, int):
-        raise ValueError(f"degree {n} is not an integer")
+    _integer(n, "degree")
     wanted = sorted(set(letters))
-    for a in wanted:
-        if not (isinstance(a, int) and 1 <= a <= n - 1):
-            raise DomainError(f"letter {a} out of range 1..{n - 1}")
+    _in_range(wanted, 1, n - 1, "letter", DomainError)
     if n < 1:
         raise ValueError("degree must be at least 1")
     witness = crowding_witness(set(wanted) | {0})
@@ -229,8 +225,7 @@ def odd_run_words(n: int) -> Iterator[BinaryWord]:
     lexicographic order."""
     from .words import BinaryWord
 
-    if not isinstance(n, int):
-        raise ValueError(f"degree {n} is not an integer")
+    _integer(n, "degree")
     if n < 1:
         raise ValueError("degree must be at least 1")
     bits = [0] * (n - 1)
@@ -282,8 +277,7 @@ def _word_counts() -> Iterator[tuple[int, int]]:
 def count_uncrowded_range(lo: int, hi: int) -> Iterator[UncrowdedCounts]:
     """count_uncrowded(n) for n = lo..hi, in one pass of O(hi) additions."""
     for n in (lo, hi):
-        if not isinstance(n, int):
-            raise ValueError(f"degree {n} is not an integer")
+        _integer(n, "degree")
     if lo < 1:
         raise ValueError("degree must be at least 1")
     for total, starting_with_one in islice(_word_counts(), lo - 1, hi):

@@ -13,11 +13,11 @@ tableaux (see ``uncrowded``) are kept here beside the other word types.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import islice, repeat
+from itertools import groupby, islice, repeat
 from operator import sub
 
 from ._value import Value
-from .errors import DegreeLimitError, NotBooleanError
+from .errors import DegreeLimitError, NotBooleanError, _in_range, _integer
 
 ENUMERATION_DEGREE_LIMIT = 9
 ENUMERATION_WORD_LIMIT = 300_000  # w0 of S_6 has 292 864 reduced words
@@ -32,14 +32,10 @@ class Word(Value):
     def __init__(self, letters: tuple[int, ...], n: int) -> None:
         object.__setattr__(self, "letters", tuple(letters))
         object.__setattr__(self, "n", n)
-        if not isinstance(n, int):
-            raise ValueError(f"degree {n} is not an integer")
+        _integer(n, "degree")
         if n < 1:
             raise ValueError("degree must be at least 1")
-        top = n - 1
-        for a in self.letters:
-            if not isinstance(a, int) or not 1 <= a <= top:
-                raise ValueError(f"letter {a} out of range 1..{top}")
+        _in_range(self.letters, 1, n - 1, "letter")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -104,17 +100,12 @@ class BinaryWord(Value):
 
     def one_runs(self) -> list[tuple[int, int]]:
         """Maximal blocks of 1s as (1-based start index, length) pairs."""
-        runs = []
-        i = 0
-        while i < len(self.bits):
-            if self.bits[i] == 1:
-                j = i
-                while j < len(self.bits) and self.bits[j] == 1:
-                    j += 1
-                runs.append((i + 1, j - i))
-                i = j
-            else:
-                i += 1
+        runs, start = [], 1
+        for bit, block in groupby(self.bits):
+            length = len(list(block))
+            if bit == 1:
+                runs.append((start, length))
+            start += length
         return runs
 
     def __str__(self) -> str:
@@ -133,11 +124,10 @@ class Heap(Value):
     _fields = ("elements", "covers", "n")
 
     def __init__(self, elements: frozenset[int], covers: frozenset[tuple[int, int]], n: int):
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "covers", covers)
+        object.__setattr__(self, "elements", frozenset(elements))
+        object.__setattr__(self, "covers", frozenset(covers))
         object.__setattr__(self, "n", n)
-        if not isinstance(n, int):
-            raise ValueError(f"degree {n} is not an integer")
+        _integer(n, "degree")
         for x, y in self.covers:
             if abs(x - y) != 1:
                 raise ValueError(f"cover ({x}, {y}) does not relate consecutive letters")
@@ -145,9 +135,7 @@ class Heap(Value):
                 raise ValueError(f"cover ({x}, {y}) outside the element set")
             if (y, x) in self.covers:
                 raise ValueError(f"both orientations present for {{{x}, {y}}}")
-        for e in self.elements:
-            if not isinstance(e, int) or not 1 <= e <= self.n - 1:
-                raise ValueError(f"element {e} out of range 1..{self.n - 1}")
+        _in_range(self.elements, 1, n - 1, "element")
         if self.n < 1:
             raise ValueError("degree must be at least 1")
         for e in sorted(self.elements):  # the least gap first

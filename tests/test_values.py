@@ -127,6 +127,26 @@ def test_a_sequence_field_becomes_a_tuple():
     assert Permutation([2, 1]) == Permutation((2, 1))
 
 
+def test_values_built_from_mutable_containers_keep_frozen_copies():
+    from boolrsk import canonical_from_heap
+
+    elements, covers, dec, inc, positions, values = {1, 2}, {(1, 2)}, [RunWord((1,))], [], [1], [2]
+    pairs = [
+        (Heap(elements, covers, 3), Heap(frozenset({1, 2}), frozenset({(1, 2)}), 3)),
+        (CanonicalWord(dec, inc, 3), CanonicalWord((RunWord((1,)),), (), 3)),
+        (Subsequence(positions, values), Subsequence((1,), (2,))),
+    ]
+    elements.add(5)
+    covers.add((2, 3))
+    dec.append(RunWord((2,)))
+    inc.append(RunWord((2, 3)))
+    positions.append(3)
+    values.append(4)
+    for value, twin in pairs:
+        assert value == twin and hash(value) == hash(twin) and repr(value) == repr(twin)
+    assert canonical_from_heap(pairs[0][0]) == canonical_from_heap(pairs[0][1])
+
+
 def test_no_inverse_table_is_kept():
     w = Permutation((3, 1, 2))
     assert [w.position_of(v) for v in (1, 2, 3)] == [2, 3, 1]
