@@ -56,9 +56,7 @@ _EXPORTS = {
         "all_reduced_words",
         "evaluate",
         "heap_of",
-        "is_reduced",
         "linear_extensions",
-        "reduced_word_of",
         "run_decomposition",
     ),
 }

@@ -38,8 +38,8 @@ class Permutation(Value):
     """A permutation of {1, ..., n} in one-line notation.
 
     >>> w = Permutation((5, 1, 3, 4, 2))
-    >>> w(1), w.position_of(5)
-    (5, 1)
+    >>> w(1), w(5)
+    (5, 2)
     >>> w.length()
     6
     >>> str(w)
@@ -69,12 +69,6 @@ class Permutation(Value):
         """Apply the permutation to a position: w(i)."""
         _in_range((i,), 1, self.n, "position")
         return self.entries[i - 1]
-
-    def position_of(self, value: int) -> int:
-        """The position holding ``value``, i.e. the inverse permutation applied
-        to it; one O(n) scan, as no inverse table is kept."""
-        _in_range((value,), 1, self.n, "value")
-        return self.entries.index(value) + 1
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.entries, start=1))
@@ -168,19 +162,6 @@ class Permutation(Value):
                 return tuple(q + 1 for q in chosen)
             candidates.append(iter(range(p + 1, n - k + d + 2)))
         return None
-
-    def contains_pattern(self, sigma: "Permutation") -> bool:
-        """True when some subsequence of w is in the same relative order as sigma.
-
-        >>> w = Permutation((3, 1, 4, 5, 9, 2, 6, 8, 7))
-        >>> w.contains_pattern(Permutation((1, 4, 2, 3)))
-        True
-        >>> w.contains_pattern(Permutation((3, 2, 4, 1)))
-        False
-        """
-        if sigma.n > self.n:
-            raise ValueError(f"pattern degree {sigma.n} exceeds permutation degree {self.n}")
-        return self._pattern_witness(sigma.entries) is not None
 
     def depth(self) -> int:
         """The sum of w(i) - i over the positions with w(i) > i, half the total

@@ -8,6 +8,7 @@ Parsers accept plain comma- or space-separated integers.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
 
 from .errors import ParseError
@@ -47,6 +48,11 @@ def parse_int_list(text: str) -> list[int]:
             try:
                 int(token)
             except ValueError:
+                digits = token[1:] if token[0] in "+-" else token
+                if digits.isdecimal():  # int() rejects such a token only past the digit limit
+                    raise ParseError(
+                        f"integer of {len(digits)} digits, past the limit of "
+                        f"{sys.get_int_max_str_digits()}", position=pos) from None
                 raise ParseError(f"not an integer: {token!r}", position=pos) from None
         raise
 
@@ -108,7 +114,7 @@ def heap_cover_lines(heap: Heap) -> list[str]:
     lines = []
     for i in sorted(heap.elements):
         if i + 1 in heap.elements:
-            lines.append(f"{i} < {i + 1}" if heap.precedes(i, i + 1) else f"{i} > {i + 1}")
+            lines.append(f"{i} < {i + 1}" if (i, i + 1) in heap.covers else f"{i} > {i + 1}")
     return lines
 
 
@@ -122,7 +128,7 @@ def heap_sketch(heap: Heap) -> str:
     for idx, e in enumerate(elements):
         if idx == 0 or elements[idx - 1] != e - 1:
             height[e] = 0
-        elif heap.precedes(e - 1, e):
+        elif (e - 1, e) in heap.covers:
             height[e] = height[e - 1] + 1
         else:
             height[e] = height[e - 1] - 1

@@ -44,10 +44,8 @@ class Word(Value):
 class RunWord(Value):
     """A nonempty run: consecutive integers stepping by +1 or by -1 throughout.
 
-    >>> RunWord((3, 4, 5, 6)).direction
-    'increasing'
-    >>> RunWord((8, 7)).direction
-    'decreasing'
+    >>> RunWord((3, 4, 5, 6)).reversed().letters
+    (6, 5, 4, 3)
     """
 
     _fields = ("letters",)
@@ -61,12 +59,6 @@ class RunWord(Value):
             len(letters) > 1 and set(map(sub, letters[1:], letters)) not in _RUN_STEPS
         ):
             raise ValueError(f"not a run: {letters}")
-
-    @property
-    def direction(self) -> str:
-        if len(self.letters) == 1:
-            return "singleton"
-        return "increasing" if self.letters[1] > self.letters[0] else "decreasing"
 
     @property
     def first(self) -> int:
@@ -142,10 +134,6 @@ class Heap(Value):
             if e + 1 in self.elements and not {(e, e + 1), (e + 1, e)} & self.covers:
                 raise ValueError(f"elements {e} and {e + 1} have no cover")
 
-    def precedes(self, x: int, y: int) -> bool:
-        """True when x is forced before y (consecutive letters only)."""
-        return (x, y) in self.covers
-
 
 def evaluate(word: Word) -> Permutation:
     """The permutation equal to the product of the word's transpositions.
@@ -160,11 +148,6 @@ def evaluate(word: Word) -> Permutation:
         entries[a - 1], entries[a] = entries[a], entries[a - 1]
     # swaps of 1..n at the word's letters, which lie in 1..n-1
     return Permutation._trusted(tuple(entries))
-
-
-def is_reduced(word: Word) -> bool:
-    """True when the word has minimum length among words for its permutation."""
-    return len(word) == evaluate(word).length()
 
 
 def run_decomposition(word: Word) -> tuple[RunWord, ...]:
@@ -190,27 +173,6 @@ def run_decomposition(word: Word) -> tuple[RunWord, ...]:
         runs.append(RunWord(letters[i:j]))
         i = j
     return tuple(runs)
-
-
-def reduced_word_of(w: Permutation) -> Word:
-    """One reduced word for w, found by repeatedly undoing the leftmost descent.
-
-    Undoing the leftmost descent again and again is insertion sort: the
-    leftmost descent always sits just left of the entry being inserted.  So
-    one insertion-sort pass records the same swaps in O(n + l(w)).
-    """
-    entries = list(w.entries)
-    swaps = []
-    for j in range(1, len(entries)):
-        v = entries[j]
-        k = j
-        while k and entries[k - 1] > v:
-            entries[k] = entries[k - 1]
-            swaps.append(k)
-            k -= 1
-        entries[k] = v
-    # an insertion sort of n entries swaps at positions 1..n-1 only
-    return Word._trusted(tuple(reversed(swaps)), w.n)
 
 
 def heap_of(w: Permutation) -> Heap:

@@ -165,9 +165,7 @@ def word_moves(letters):
 def reduced_words_by_moves(w):
     """R(w) as a set of letter tuples: by Matsumoto's theorem, the closure of
     one reduced word under commutation and braid moves."""
-    from boolrsk import reduced_word_of
-
-    start = reduced_word_of(w).letters
+    start = reduced_word_by_leftmost_descent(w.entries)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -363,14 +361,14 @@ def canonical_from_heap_by_min(heap):
             dec.append(RunWord((a,)))
             remaining.remove(a)
             continue
-        if heap.precedes(a + 1, a):
+        if (a + 1, a) in heap.covers:
             b = a + 1
-            while b + 1 in remaining and heap.precedes(b + 1, b):
+            while b + 1 in remaining and (b + 1, b) in heap.covers:
                 b += 1
             dec.append(RunWord(tuple(range(b, a - 1, -1))))
         else:
             b = a + 1
-            while b + 1 in remaining and heap.precedes(b, b + 1):
+            while b + 1 in remaining and (b, b + 1) in heap.covers:
                 b += 1
             inc.insert(0, RunWord(tuple(range(a, b + 1))))
         remaining -= set(range(a, b + 1))
@@ -488,16 +486,16 @@ def run_step_by_products(w):
     lis_values = set(lex_least_lis_dp(w.entries)[1])
     q = next(v for v in range(1, w.n + 1) if v not in lis_values)
     if q == 1:
-        run = RunWord(tuple(range(w.position_of(1) - 1, 0, -1)))
+        run = RunWord(tuple(range(w.entries.index(1), 0, -1)))
         return RunStep(times_letters(w, run.letters, "right"), run, "right", CASE_MISSING_ONE)
-    t = w.position_of(q)
-    t_prev = w.position_of(q - 1)
+    t = w.entries.index(q) + 1
+    t_prev = w.entries.index(q - 1) + 1
     if t > t_prev:
         run = RunWord(tuple(range(t - 1, t_prev, -1)))
         return RunStep(
             times_letters(w, run.letters, "right"), run, "right", CASE_RIGHT_OF_PREDECESSOR
         )
-    j = min(v for v in range(1, q) if w.position_of(v) > t)
+    j = min(v for v in range(1, q) if w.entries.index(v) + 1 > t)
     run = RunWord(tuple(range(j, q)))
     return RunStep(times_letters(w, run.letters, "left"), run, "left", CASE_LEFT_OF_PREDECESSOR)
 

@@ -16,7 +16,6 @@ from boolrsk import (
     canonical_from_word,
     evaluate,
     heap_of,
-    is_reduced,
     leftmost_letters,
     linear_extensions,
     rightmost_letters,
@@ -107,7 +106,7 @@ class TestStructuralInvariants:
         for n in range(1, 11):
             for w in boolean_permutations(n):
                 canonical = canonical_from_heap(heap_of(w))
-                assert is_reduced(canonical.word)
+                assert len(canonical.word) == evaluate(canonical.word).length()
                 assert evaluate(canonical.word) == w
 
     def test_run_count_is_optimal(self):

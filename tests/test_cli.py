@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boolrsk import cli
+from boolrsk import boolean_permutations, cli
 
 MAX = cli.MAX_SIZE
 
@@ -57,6 +57,19 @@ class TestExitCodes:
         code, _, err = run_cli("rsk", "1 x 3")
         assert code == 2
         assert "not an integer" in err
+
+    def test_integer_at_the_digit_limit_is_accepted(self):
+        code, out, _ = run_cli("uncrowded", "set", "1," + "7" * sys.get_int_max_str_digits())
+        assert code == 0
+        assert out.endswith("uncrowded\n")
+
+    def test_integer_past_the_digit_limit_names_its_length_not_its_digits(self):
+        limit = sys.get_int_max_str_digits()
+        code, _, err = run_cli("uncrowded", "set", "1,-" + "7" * (limit + 1))
+        assert code == 2
+        assert err == (f"error: integer of {limit + 1} digits, past the limit of {limit}"
+                       " (at token 2)\n")
+        assert len(err) < 200
 
     def test_degree_guard_is_one(self):
         code, _, err = run_cli("words", "1 2 3 4 5 6 7 8 9 10")
@@ -393,6 +406,30 @@ class TestPlainOutput:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.RHO_8000_DIGESTS[form]
         assert elapsed < 0.5
+
+
+def test_every_heap_report_up_to_degree_7():
+    # heap_of's rule: a comes before a + 1 exactly when w(a + 1) > a + 1
+    for n in range(1, 8):
+        for w in boolean_permutations(n):
+            code, out, err = run_cli("heap", " ".join(map(str, w.entries)))
+            assert (code, err) == (0, "")
+            report, sketch = out.split("\n\n")
+            elements = sorted(w.support())
+            first = [a for a in elements if a + 1 in elements and w.entries[a] > a + 1]
+            expected = [f"{a} {'<' if a in first else '>'} {a + 1}"
+                        for a in elements if a + 1 in elements]
+            header = f"elements: {' '.join(map(str, elements))}"
+            assert report.splitlines()[1:] == [header, *expected]
+            # each label once, and a + 1 drawn above a exactly when a comes first
+            row = {}
+            for r, line in enumerate(sketch.splitlines()):
+                for token in line.split():
+                    if token.isdigit():
+                        assert int(token) not in row, w
+                        row[int(token)] = r
+            assert sorted(row) == elements, w
+            assert [a for a in elements if a + 1 in row and row[a + 1] < row[a]] == first, w
 
 
 class TestJsonEnvelopes:

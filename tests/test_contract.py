@@ -146,16 +146,11 @@ CALLS = {
         permutations(max_degree=5) | st.integers(9, MAX_DEGREE).map(boolrsk.identity)))),
     "evaluate": (boolrsk.evaluate, st.tuples(word)),
     "heap_of": (boolrsk.heap_of, st.tuples(perm)),
-    "is_reduced": (boolrsk.is_reduced, st.tuples(word)),
     "linear_extensions": (boolrsk.linear_extensions, st.tuples(heap)),
-    "reduced_word_of": (boolrsk.reduced_word_of, st.tuples(perm)),
     "run_decomposition": (boolrsk.run_decomposition, st.tuples(word)),
     # methods that take arguments
     "Permutation.__call__": (lambda w, i: w(i), st.tuples(permutations(), integers)),
-    "Permutation.position_of": (Permutation.position_of, st.tuples(permutations(), integers)),
     "Permutation.__mul__": (operator.mul, st.tuples(permutations(), perm)),
-    "Permutation.contains_pattern": (Permutation.contains_pattern, st.tuples(permutations(), perm)),
-    "Heap.precedes": (Heap.precedes, st.tuples(heaps, integers, integers)),
 }
 
 

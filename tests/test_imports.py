@@ -37,9 +37,9 @@ PUBLIC_NAMES = [
     "all_permutations", "all_reduced_words", "apply_ulam_move", "binary_word_from_tableau",
     "boolean_permutations", "canonical", "canonical_from_heap", "canonical_from_word",
     "count_uncrowded", "count_uncrowded_range", "crowding_witness", "errors", "evaluate",
-    "heap_of", "identity", "is_feasible_second_row", "is_reduced", "is_uncrowded",
+    "heap_of", "identity", "is_feasible_second_row", "is_uncrowded",
     "is_uncrowded_tableau", "leftmost_letters", "linear_extensions", "odd_run_words",
-    "optimal_run_word", "permutation", "realize_leftmost_letters", "reduced_word_of",
+    "optimal_run_word", "permutation", "realize_leftmost_letters",
     "rightmost_letters", "row2_from_canonical", "rsk", "run_decomposition", "run_statistic",
     "run_step", "runstat", "shape_of", "tableau_from_binary_word", "ulam_sort", "uncrowded",
     "words",
@@ -231,31 +231,3 @@ class TestPublicApi:
         counts = boolrsk.count_uncrowded(10)
         assert repr(counts) == "UncrowdedCounts(total=197, two_row=196, max_in_row2=89)"
         assert counts._fields == ("total", "two_row", "max_in_row2")
-
-
-def private_runstat_names(source):
-    """The names ``_step`` and ``_moves_from_runs`` that ``source`` mentions."""
-    named = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            named.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            named.add(node.attr)
-        elif isinstance(node, ast.alias):
-            named.update((node.name, node.asname))
-    return named & {"_step", "_moves_from_runs"}
-
-
-def test_handlers_use_the_public_runstat_api():
-    # the step and the Ulam moves go through run_step and ulam_sort, which share
-    # the one-entry caches, never through the private helpers they replaced
-    commands = pathlib.Path(boolrsk.__file__).parent / "commands"
-    paths = sorted(commands.glob("*.py"))
-    assert len(paths) > 10
-    for path in paths:
-        assert private_runstat_names(path.read_text(encoding="utf-8")) == set(), path
-
-
-def test_the_scan_finds_a_private_runstat_name():
-    source = "from ..runstat import _step, run_step\nx = runstat._moves_from_runs(w, r)\n"
-    assert private_runstat_names(source) == {"_step", "_moves_from_runs"}

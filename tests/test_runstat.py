@@ -16,7 +16,6 @@ from boolrsk import (
     apply_ulam_move,
     evaluate,
     identity,
-    is_reduced,
     optimal_run_word,
     run_decomposition,
     run_statistic,
@@ -142,7 +141,7 @@ class TestOptimalRunWord:
         ]:
             word = Word(letters, 8)
             assert evaluate(word) == w
-            assert is_reduced(word)
+            assert len(word) == evaluate(word).length()
             assert len(run_decomposition(word)) == pieces == run_statistic(w)
 
     def test_three_run_words_of_314569278(self):
@@ -158,7 +157,7 @@ class TestOptimalRunWord:
                 runs = optimal_run_word(w)
                 assert len(runs) == run_statistic(w)
                 word = Word(tuple(a for run in runs for a in run.letters), n)
-                assert is_reduced(word)
+                assert len(word) == evaluate(word).length()
                 assert evaluate(word) == w
 
     def test_peak_memory_stays_near_the_returned_runs(self):

@@ -181,10 +181,6 @@ BOUNDARY = [
         id="w(1.5)",
     ),
     pytest.param(
-        lambda: Permutation((2, 1)).position_of(1.5), ValueError, "value 1.5 out of range 1..2",
-        id="position_of(1.5)",
-    ),
-    pytest.param(
         lambda: apply_ulam_move(W, UlamMove(1.5, None)), ValueError,
         "position 1.5 out of range 1..3", id="ulam move from position 1.5",
     ),
@@ -405,7 +401,7 @@ def test_bool_letters_stay_accepted():
     # as in Permutation, where True is the value 1
     assert Permutation((True,)).entries == (True,)
     assert Word((True, 2), 3).letters == (True, 2)
-    assert RunWord((True, 2)).direction == "increasing"
+    assert RunWord((True, 2)).letters == (True, 2)
     assert Heap(frozenset({True}), frozenset(), 2).elements == {1}
 
 

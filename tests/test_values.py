@@ -149,7 +149,6 @@ def test_values_built_from_mutable_containers_keep_frozen_copies():
 
 def test_no_inverse_table_is_kept():
     w = Permutation((3, 1, 2))
-    assert [w.position_of(v) for v in (1, 2, 3)] == [2, 3, 1]
     assert w.inverse() == Permutation((2, 3, 1))
     assert w.lex_least_lis() == Subsequence((2, 3), (1, 2))
     assert vars(w) == {"entries": (3, 1, 2)}

@@ -19,12 +19,11 @@ from boolrsk import (
     all_permutations,
     all_reduced_words,
     boolean_permutations,
+    canonical_from_heap,
     evaluate,
     heap_of,
     identity,
-    is_reduced,
     linear_extensions,
-    reduced_word_of,
     run_decomposition,
 )
 from boolrsk.words import ENUMERATION_WORD_LIMIT
@@ -77,21 +76,23 @@ class TestEvaluate:
 
 
 class TestIsReduced:
+    # a word is reduced when its length is the length of the permutation it evaluates to
     def test_reduced_word(self):
-        assert is_reduced(Word((4, 2, 3, 2, 4, 1), 5))
+        word = Word((4, 2, 3, 2, 4, 1), 5)
+        assert len(word) == evaluate(word).length()
 
     def test_repeated_letter_cancels(self):
-        assert not is_reduced(Word((1, 1), 3))
+        assert evaluate(Word((1, 1), 3)).length() == 0
 
     def test_distinct_letters(self):
-        assert is_reduced(Word((2, 1, 8, 7, 3, 4, 5, 6), 9))
+        word = Word((2, 1, 8, 7, 3, 4, 5, 6), 9)
+        assert len(word) == evaluate(word).length()
 
 
 class TestRunDecomposition:
     def test_three_runs(self):
         runs = run_decomposition(Word((2, 1, 8, 7, 3, 4, 5, 6), 9))
         assert [r.letters for r in runs] == [(2, 1), (8, 7), (3, 4, 5, 6)]
-        assert [r.direction for r in runs] == ["decreasing", "decreasing", "increasing"]
 
     def test_five_runs_not_three(self):
         runs = run_decomposition(Word((8, 2, 7, 1, 3, 4, 5, 6), 9))
@@ -107,7 +108,7 @@ class TestRunDecomposition:
             RunWord((2, 4))
         with pytest.raises(ValueError, match="run"):
             RunWord((2, 3, 2))
-        assert RunWord((5,)).direction == "singleton"
+        assert RunWord((5,)).letters == (5,)
 
     @given(st.lists(st.integers(min_value=1, max_value=8), max_size=14))
     def test_roundtrip_and_maximality(self, letters):
@@ -145,7 +146,7 @@ class TestRunDecomposition:
 class TestReducedWordOf:
     def test_roundtrip(self):
         for w in all_permutations(5):
-            word = reduced_word_of(w)
+            word = Word(reduced_word_by_leftmost_descent(w.entries), w.n)
             assert evaluate(word) == w
             assert len(word) == w.length()
 
@@ -215,7 +216,8 @@ class TestCommutationClass:
         for n in range(1, 7):
             for w in boolean_permutations(n):
                 whole = {word.letters for word in all_reduced_words(w)}
-                assert commutation_class_by_swaps(reduced_word_of(w).letters) == whole
+                start = canonical_from_heap(heap_of(w)).word.letters
+                assert commutation_class_by_swaps(start) == whole
 
     def test_one_class_exactly_when_fully_commutative(self):
         # a 321 in w allows a braid move, which leaves the commutation class
@@ -307,7 +309,7 @@ class TestLinearExtensions:
                 heap = heap_of(w)
                 count = 0
                 for word in linear_extensions(heap):
-                    assert is_reduced(word)
+                    assert len(word) == w.length()
                     assert evaluate(word) == w
                     count += 1
                 assert count == linear_extension_count(heap.elements, heap.covers)
