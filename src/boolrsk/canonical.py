@@ -77,20 +77,21 @@ class CanonicalWord(Value):
 
 
 def _canonical_from_orientation(orient: list, n: int) -> CanonicalWord:
-    """The canonical word from ``orient[a]`` for each letter a: None when a is
-    absent, 0 when a+1 is, +1 when a comes before a+1 and -1 when after it.
+    """The canonical word of degree n from ``orient[a]`` for each letter a:
+    None when a is absent, 0 when a+1 is, +1 when a comes before a+1 and -1
+    when after it.  The list may stop short of n, past its last letter.
 
     A run starts at the least letter a not yet read and goes on while the sign
     repeats, up to the first letter b with another: the singleton a for sign
     0, the decreasing run b..a for -1, the increasing run a..b for +1.  One
     upward scan reads every run and goes on from b + 1; each run's letters
-    are a slice of one tuple 0..n-1.  O(n).
+    are a slice of one tuple 0..len(orient)-1.  O(len(orient)).
     """
-    letters = tuple(range(n))
+    letters = tuple(range(len(orient)))
     dec: list[RunWord] = []
     inc: list[RunWord] = []
     a = 1  # orient[0] is None: there is no letter 0
-    while a < n:
+    while a < len(orient):
         s = orient[a]
         if s is None:
             a += 1

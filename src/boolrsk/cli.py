@@ -14,7 +14,7 @@ import os
 import sys
 
 from .commands import MAX_SIZE  # noqa: F401  (re-exported: the size guard of the handlers)
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, _parse_int
 
 JSON = ("--json", {"help": "emit a JSON envelope"})
 PERM = ("perm", {"help": "one-line notation, space- or comma-separated"})
@@ -77,10 +77,9 @@ def _value(argument: str, options: dict, text: str, usage: str):
     if "choices" in options and text not in options["choices"]:
         choices = ", ".join(options["choices"])
         raise ParseError(f"{argument} must be one of {choices}, not {text!r}; {usage}")
-    try:
-        return options.get("type", str)(text)
-    except ValueError:
-        raise ParseError(f"{argument} must be an integer, not {text!r}; {usage}") from None
+    if "type" not in options:
+        return text
+    return _parse_int(text, f"{argument} must be an integer, not {text!r}; {usage}")
 
 
 def parse_args(argv: list[str]) -> tuple[str, dict]:

@@ -1,6 +1,6 @@
 """``boolrsk count``: the number of uncrowded tableaux for a range of sizes."""
 
-from ..errors import ParseError
+from ..errors import ParseError, _parse_int
 from ..uncrowded import count_uncrowded_range
 from . import _checked_size
 
@@ -11,10 +11,7 @@ def run(args):
         lo_text, hi_text = span.split("..", 1)
     else:
         lo_text = hi_text = span
-    try:
-        lo, hi = int(lo_text), int(hi_text)
-    except ValueError:
-        raise ParseError(f"not a range: {span!r}") from None
+    lo, hi = (_parse_int(text, f"not a range: {span!r}") for text in (lo_text, hi_text))
     if lo < 1 or hi < lo:
         raise ParseError(f"bad range: {span!r}")
     _checked_size("range end", hi)

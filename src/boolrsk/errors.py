@@ -1,5 +1,7 @@
 """Exception types shared by the library and the command-line front end."""
 
+import sys
+
 
 class DomainError(ValueError):
     """Input is well-formed but outside an operation's domain."""
@@ -50,3 +52,17 @@ def _in_range(values, lo: int, hi: int, what: str, error=ValueError) -> None:
     for v in values:
         if not (isinstance(v, int) and lo <= v <= hi):
             raise error(f"{what} {v} out of range {lo}..{hi}")
+
+
+def _parse_int(text: str, message: str, position: int | None = None) -> int:
+    """``int(text)``, or a ParseError: ``message``, or for a decimal token past
+    Python's digit limit one that names its length instead of echoing it."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip()
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        if digits.isdecimal():  # int() rejects such a token only past the digit limit
+            limit = sys.get_int_max_str_digits()
+            message = f"integer of {len(digits)} digits, past the limit of {limit}"
+        raise ParseError(message, position) from None

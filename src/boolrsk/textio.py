@@ -8,10 +8,9 @@ Parsers accept plain comma- or space-separated integers.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterable, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, _parse_int
 
 # The types named below are imported only by the parsers that construct them,
 # so a call that parses integer sets loads no permutation or tableau code.
@@ -45,15 +44,7 @@ def parse_int_list(text: str) -> list[int]:
         return list(map(int, tokens))
     except ValueError:
         for pos, token in enumerate(tokens, start=1):
-            try:
-                int(token)
-            except ValueError:
-                digits = token[1:] if token[0] in "+-" else token
-                if digits.isdecimal():  # int() rejects such a token only past the digit limit
-                    raise ParseError(
-                        f"integer of {len(digits)} digits, past the limit of "
-                        f"{sys.get_int_max_str_digits()}", position=pos) from None
-                raise ParseError(f"not an integer: {token!r}", position=pos) from None
+            _parse_int(token, f"not an integer: {token!r}", pos)
         raise
 
 

@@ -96,8 +96,16 @@ def realize_leftmost_letters(letters: Iterable[int], n: int) -> CanonicalWord:
     heads a two-letter decreasing run, the letters above m_j recurse after a
     downward shift, and the letters below continue as two-letter increasing
     runs.  Rejects constructions needing letters outside 1..n-1.
+
+    One pass over the sorted letters writes the orientations that the
+    canonical-word scan reads.  ``base`` is the current level's pivot (0 at
+    first) and ``place`` the number of rising runs it has opened: a letter
+    base + 2*place + 1 opens the rising run m, m+1, and any other letter is
+    the level's pivot and heads the falling run m, m-1.  The second letter of
+    each pair carries the other sign, so every run ends after two letters.
+    O(|letters|), at any degree.
     """
-    from .canonical import CanonicalWord
+    from .canonical import _canonical_from_orientation
 
     _integer(n, "degree")
     wanted = sorted(set(letters))
@@ -112,86 +120,56 @@ def realize_leftmost_letters(letters: Iterable[int], n: int) -> CanonicalWord:
             f"holds {count} > {x + 1} elements",
             witness,
         )
-    dec, inc = _realize(wanted)
-    top = max((a for run in dec + inc for a in run.letters), default=0)
-    if top > n - 1:
-        raise DomainError(f"construction needs letter {top} but the degree is {n}")
-    # disjoint runs below n: decreasing ones rising, increasing ones falling
-    return CanonicalWord._trusted(tuple(dec), tuple(inc), n)
-
-
-def _realize(wanted: list[int]) -> tuple[list[RunWord], list[RunWord]]:
-    from .words import RunWord
-
-    # The recursion on the letters above each pivot, unrolled: ``start`` is the
-    # first letter of the current level and ``base`` the shift back to the
-    # original letters.  Each level's increasing runs go before those of the
-    # levels above it, so they are collected per level and joined reversed.
-    dec, inc_levels = [], []
-    start, base = 0, 0
-    while start < len(wanted):
-        j = next(
-            (i for i in range(len(wanted) - start) if wanted[start + i] - base != 2 * i + 1),
-            None,
-        )
-        if j is None:
-            k = len(wanted) - start - 1
-            inc_levels.append([(base + 2 * i + 1, base + 2 * i + 2) for i in range(k, -1, -1)])
-            break
-        pivot = wanted[start + j]
-        assert pivot - base > 2 * j + 1, "uncrowdedness forces the i-th letter to be at least 2i+1"
-        dec.append((pivot, pivot - 1))
-        inc_levels.append([(base + 2 * i - 1, base + 2 * i) for i in range(j, 0, -1)])
-        start, base = start + j + 1, pivot
-    inc = [pair for level in reversed(inc_levels) for pair in level]
-    # each pair is two consecutive letters, so a run
-    return [RunWord._trusted(pair) for pair in dec], [RunWord._trusted(pair) for pair in inc]
+    orient: list = [None] * (max(wanted, default=0) + 2)
+    base = place = 0
+    for m in wanted:
+        if m == base + 2 * place + 1:
+            orient[m : m + 2] = 1, -1
+            place += 1
+        else:  # uncrowdedness puts the pivot above base + 2*place + 1
+            orient[m - 1 : m + 1] = -1, 1
+            base, place = m, 0
+    if orient[-1] is not None and len(orient) > n:
+        raise DomainError(f"construction needs letter {len(orient) - 1} but the degree is {n}")
+    return _canonical_from_orientation(orient, n)
 
 
 def tableau_from_binary_word(word: BinaryWord) -> StandardTableau:
     """The uncrowded tableau encoded by a binary word with odd blocks of 1s.
 
-    The all-zeros word gives the one-row tableau.  Otherwise index i counts
-    down from the top (entry n+1-i): a 0 puts its entry in row one; a block of
+    Index i counts down from the top (entry n+1-i), and ``place`` is the
+    position of bit i in its block of 1s, 0 for a 0 bit.  The entry goes to
+    row two when ``place`` is 1 or even, and to row one otherwise: a block of
     1s starting at i and ending at i+2k puts the entries at i, i+1, i+3, ...,
-    i+2k-1 in row two and those at i+2, i+4, ..., i+2k in row one.
+    i+2k-1 in row two and those at i+2, i+4, ..., i+2k in row one.  One pass;
+    the all-zeros word gives the one-row tableau.
     """
     from .rsk import StandardTableau
 
-    runs = word.one_runs()
-    if any(length % 2 == 0 for _, length in runs):
-        raise DomainError(f"{word} has an even block of 1s")
-    n = word.n
-    if not runs:
-        # 1..n in one row, n >= 1
-        return StandardTableau._trusted((tuple(range(1, n + 1)),))
-    row1 = {1}
-    row2 = set()
-    for i, bit in enumerate(word.bits, start=1):
-        if bit == 0:
-            row1.add(n + 1 - i)
-    for start, length in runs:
-        end = start + length - 1
-        row2.add(n + 1 - start)
-        for j in range(start + 1, end, 2):
-            row2.add(n + 1 - j)
-        for j in range(start + 2, end + 1, 2):
-            row1.add(n + 1 - j)
-    # rows splitting 1..n, row two nonempty.  Read upward, a block and the row-one
+    rows: tuple[list[int], list[int]] = ([], [])
+    place = 0
+    for z, bit in zip(range(word.n, 0, -1), word.bits + (0,)):  # a 0 closes the last block
+        if bit:
+            place += 1
+        elif place and place % 2 == 0:
+            raise DomainError(f"{word} has an even block of 1s")
+        else:
+            place = 0
+        rows[place == 1 or (place > 0 and place % 2 == 0)].append(z)
+    # rows splitting 1..n, row one holding 1.  Read upward, a block and the row-one
     # entry below it never put more in row two than in row one, so columns rise.
-    return StandardTableau._trusted((tuple(sorted(row1)), tuple(sorted(row2))))
+    return StandardTableau._trusted(tuple(tuple(row[::-1]) for row in rows if row))
 
 
 def binary_word_from_tableau(tableau: StandardTableau) -> BinaryWord:
     """The binary word encoding an uncrowded tableau; inverse of
     tableau_from_binary_word.
 
-    One pass over the indices i = 1..n-1, each naming the entry z = n+1-i.
-    An entry z of row two opens a block of 1s.  The block is the single 1 at
-    i unless z-1 is in row two too; then it runs to the first i+2k with
-    z-2k-1 not in row two.  Uncrowdedness is what forces this pattern: the
-    entries z-2, z-4, ..., z-2k of such a block all sit in row one.  Crowded
-    second rows are rejected.
+    One pass over the entries z = n..2, with ``place`` as there: an entry of
+    row two, or any entry after an even place, goes on with the block of 1s,
+    and any other entry is a 0.  Uncrowdedness is what forces this pattern:
+    the entries z-2, z-4, ..., z-2k of a block opened at z with z-1 in row two
+    all sit in row one.  Crowded second rows are rejected.
     """
     from .words import BinaryWord
 
@@ -200,23 +178,13 @@ def binary_word_from_tableau(tableau: StandardTableau) -> BinaryWord:
     witness = tableau_crowding_witness(tableau)
     if witness is not None:
         raise CrowdedError(f"second row {sorted(tableau.row2)} is crowded", witness)
-    n = tableau.n
-    bits = [0] * (n - 1)
     row2 = set(tableau.row2)
-    i = 1
-    while i < n:
-        z = n + 1 - i
-        if z not in row2:
-            i += 1
-            continue
-        k = 0
-        if z - 1 in row2:
-            k = 1
-            while z - 2 * k - 1 in row2:
-                k += 1
-        bits[i - 1 : i + 2 * k] = [1] * (2 * k + 1)
-        i += 2 * k + 1
-    # zeros with blocks of ones written in
+    bits = []
+    place = 0
+    for z in range(tableau.n, 1, -1):
+        place = place + 1 if z in row2 or (place and place % 2 == 0) else 0
+        bits.append(1 if place else 0)
+    # bits of 0 and 1 only
     return BinaryWord._trusted(tuple(bits))
 
 

@@ -13,7 +13,7 @@ tableaux (see ``uncrowded``) are kept here beside the other word types.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import groupby, islice, repeat
+from itertools import islice, repeat
 from operator import sub
 
 from ._value import Value
@@ -89,16 +89,6 @@ class BinaryWord(Value):
     @property
     def n(self) -> int:
         return len(self.bits) + 1
-
-    def one_runs(self) -> list[tuple[int, int]]:
-        """Maximal blocks of 1s as (1-based start index, length) pairs."""
-        runs, start = [], 1
-        for bit, block in groupby(self.bits):
-            length = len(list(block))
-            if bit == 1:
-                runs.append((start, length))
-            start += length
-        return runs
 
     def __str__(self) -> str:
         return "".join("1" if b else "0" for b in self.bits)  # bool bits print as digits

@@ -71,6 +71,27 @@ class TestExitCodes:
                        " (at token 2)\n")
         assert len(err) < 200
 
+    @pytest.mark.parametrize("argv", [
+        ("count", "1..{}"), ("count", "{}"), ("selftest", "{}"),
+        ("uncrowded", "realize", "1", "--degree", "{}"), ("canonical", "--from-word", "1", "--degree={}"),
+    ], ids=["count range", "count size", "selftest", "--degree", "--degree="])
+    def test_every_integer_argument_past_the_digit_limit_names_its_length(self, argv):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(*(a.format("7" * (limit + 1)) for a in argv))
+        assert (code, out) == (2, "")
+        assert err == f"error: integer of {limit + 1} digits, past the limit of {limit}\n"
+        assert len(err) < 200
+
+    @pytest.mark.parametrize("argv, message", [
+        (("count", "1..x"), "not a range: '1..x'"),
+        (("count", "5..3"), "bad range: '5..3'"),
+        (("selftest", "x"), "criteria must be an integer, not 'x'; usage: boolrsk selftest [-h] [criteria ...]"),
+        (("uncrowded", "realize", "1", "--degree", "x"), "--degree must be an integer, not 'x'; usage: "
+         "boolrsk uncrowded [-h] [--json] [--degree DEGREE] {set,tableau,realize} value"),
+    ])
+    def test_a_short_bad_integer_is_echoed(self, argv, message):
+        assert run_cli(*argv) == (2, "", f"error: {message}\n")
+
     def test_degree_guard_is_one(self):
         code, _, err = run_cli("words", "1 2 3 4 5 6 7 8 9 10")
         assert code == 1

@@ -344,6 +344,27 @@ class TestRecursionFree:
                 assert [run.letters for run in canonical.dec_runs] == dec
                 assert [run.letters for run in canonical.inc_runs] == inc
 
+    def test_realize_matches_recursive_construction_at_scale(self):
+        rng = random.Random(2027)
+        for _ in range(40):
+            wanted = []
+            for _ in range(rng.randrange(100, 501)):
+                gap = rng.randrange(2, 5)
+                wanted.append((wanted[-1] if wanted else 0) + gap)
+                if gap > 2 and rng.random() < 0.3:  # a pivot, and a rising run on its level
+                    wanted.append(wanted[-1] + 1)
+            assert is_uncrowded(set(wanted) | {0})
+            canonical = realize_leftmost_letters(wanted, wanted[-1] + 2)
+            dec, inc = realize_by_recursion(wanted)
+            assert [run.letters for run in canonical.dec_runs] == dec
+            assert [run.letters for run in canonical.inc_runs] == inc
+
+    def test_realize_scans_only_up_to_its_letters(self):
+        start = time.perf_counter()
+        canonical = realize_leftmost_letters({1, 3}, 10**9)
+        assert time.perf_counter() - start < 0.1
+        assert canonical.letters == (3, 4, 1, 2)
+
     def test_odd_run_words_match_filtering(self):
         for n in range(1, 13):
             words = [word.bits for word in odd_run_words(n)]
@@ -374,7 +395,7 @@ class TestBinaryWordDecoding:
         rng = random.Random(8123)
         for length in (200, 500, 1000, 2000):
             word = random_odd_block_word(rng, length)
-            assert all(length % 2 for _, length in word.one_runs())
+            assert all(len(b) % 2 for b in str(word).split("0") if b)
             tableau = tableau_from_binary_word(word)
             assert binary_word_from_tableau(tableau) == word
             assert binary_word_by_windows(tableau) == word.bits
