@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib
 import os
 import sys
+from itertools import chain, islice
 
 from .commands import MAX_SIZE  # noqa: F401  (re-exported: the size guard of the handlers)
 from .errors import DomainError, ParseError, _parse_int
@@ -165,21 +166,27 @@ def _run(argv: list[str]) -> int:
         else:
             head, result, lines = handler(args)
     except (ParseError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        import re  # here, so a call that succeeds does not load it
+
+        # a run of over 30 digits shows as its length, so no echoed integer floods the line
+        message = re.sub(r"\d{31,}", lambda run: f"<{len(run[0])} digits>", str(exc))
+        print(f"error: {message}", file=sys.stderr)
         return 2 if isinstance(exc, ParseError) else 1
     if args["json"]:
         import json  # here, so plain calls load no JSON decoder
-        from itertools import islice
 
         envelope = {"command": command, **head, "format": "json", "result": result}
-        # written as it is encoded, 4096 chunks a write: one write per chunk doubles the
-        # time, and one string of the whole envelope holds all of its text at once
-        chunks = json.JSONEncoder(indent=2).iterencode(envelope)
-        while batch := "".join(islice(chunks, 4096)):
-            sys.stdout.write(batch)
-        print()
+        # tuples are written as arrays, and a frozenset as its sorted list
+        chunks = json.JSONEncoder(indent=2, default=sorted).iterencode(envelope)
     else:
-        print("\n".join(lines))
+        chunks = chain(lines[:1], map("\n".__add__, lines[1:]))
+    # written as it is made, 4096 chunks a write: one write per chunk doubles the time, and one
+    # string of the whole output holds it all at once.  The last newline is a write of its own:
+    # after the reader leaves, a large write may return short and raise nothing, and only the next
+    # raises BrokenPipeError (in the last batch, `count 1..3000 | head -1` exited 0, not 3)
+    while batch := "".join(islice(chunks, 4096)):
+        sys.stdout.write(batch)
+    print()
     return 0
 
 

@@ -16,15 +16,11 @@ def _checked_size(what: str, value: int) -> int:
     return value
 
 
-def _tableau_payload(tableau) -> list[list[int]]:
-    return [list(row) for row in tableau.rows]
-
-
 def _canonical_payload(canonical) -> dict:
     return {
-        "dec": [list(run.letters) for run in canonical.dec_runs],
-        "inc": [list(run.letters) for run in canonical.inc_runs],
-        "letters": list(canonical.letters),
+        "dec": [run.letters for run in canonical.dec_runs],
+        "inc": [run.letters for run in canonical.inc_runs],
+        "letters": canonical.letters,
     }
 
 
@@ -34,4 +30,4 @@ def _verdict(witness) -> tuple[dict, str]:
         return {"uncrowded": True, "witness": None}, "uncrowded"
     y, x, count = witness
     line = f"crowded: window [{y}, {y + 2 * x}] holds {count} values (at most {x + 1} allowed)"
-    return {"uncrowded": False, "witness": list(witness)}, line
+    return {"uncrowded": False, "witness": witness}, line

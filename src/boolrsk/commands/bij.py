@@ -5,7 +5,6 @@ import os
 from ..errors import ParseError
 from ..textio import format_tableau, parse_binary_word, parse_tableau, space_separated
 from ..uncrowded import binary_word_from_tableau, tableau_from_binary_word
-from . import _tableau_payload
 
 
 def run(args):
@@ -13,7 +12,7 @@ def run(args):
         word = parse_binary_word(args["value"])
         tableau = tableau_from_binary_word(word)
         lines = [f"x = {word}", "T:", format_tableau(tableau)]
-        return {"direction": "f", "input": str(word)}, {"rows": _tableau_payload(tableau)}, lines
+        return {"direction": "f", "input": str(word)}, {"rows": tableau.rows}, lines
     # direction g: inline rows ("a b / c d") or the path of a regular file, never a FIFO or device
     text = args["value"]
     if os.path.isfile(text):

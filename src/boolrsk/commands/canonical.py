@@ -36,10 +36,10 @@ def run(args):
     }
     result = {
         **_canonical_payload(canonical),
-        "leftmost": sorted(leftmost),
-        "rightmost": sorted(rightmost),
-        "row2_P": sorted(row2_p),
-        "row2_Q": sorted(row2_q),
+        "leftmost": leftmost,
+        "rightmost": rightmost,
+        "row2_P": row2_p,
+        "row2_Q": row2_q,
     }
     lines += [
         f"w = {w}",

@@ -15,13 +15,7 @@ def run(args):
     if lo < 1 or hi < lo:
         raise ParseError(f"bad range: {span!r}")
     _checked_size("range end", hi)
-    rows = [(n, *counts) for n, counts in enumerate(count_uncrowded_range(lo, hi), start=lo)]
-    result = {
-        "rows": [
-            {"n": n, "total": total, "two_row": two_row, "max_in_row2": with_max}
-            for n, total, two_row, with_max in rows
-        ]
-    }
-    lines = ["n total two-row n-in-row2"]
-    lines += [f"{n} {total} {two_row} {with_max}" for n, total, two_row, with_max in rows]
-    return {"input": span}, result, lines
+    # the field names of UncrowdedCounts are the JSON keys; a report line joins a row's values
+    rows = [{"n": n, **c._asdict()} for n, c in enumerate(count_uncrowded_range(lo, hi), start=lo)]
+    lines = ["n total two-row n-in-row2", *(" ".join(map(str, row.values())) for row in rows)]
+    return {"input": span}, {"rows": rows}, lines

@@ -6,10 +6,7 @@ from ..words import heap_of
 
 def run(w):
     heap = heap_of(w)
-    result = {
-        "elements": sorted(heap.elements),
-        "covers": sorted([x, y] for x, y in heap.covers),
-    }
+    result = {"elements": heap.elements, "covers": heap.covers}
     lines = [f"elements: {space_separated(sorted(heap.elements))}"]
     lines += heap_cover_lines(heap)
     lines.append("")

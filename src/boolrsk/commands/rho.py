@@ -9,12 +9,12 @@ def run(w):
     step = run_step(w)  # reuses the LIS just taken
     length_before, length_after = w.length(), step.result.length()
     result = {
-        "lis_values": list(lis.values),
-        "lis_positions": list(lis.positions),
+        "lis_values": lis.values,
+        "lis_positions": lis.positions,
         "case": step.case,
-        "run": list(step.run.letters),
+        "run": step.run.letters,
         "side": step.side,
-        "result": list(step.result.entries),
+        "result": step.result.entries,
         "length_before": length_before,
         "length_after": length_after,
     }

@@ -2,13 +2,12 @@
 
 from ..rsk import rsk
 from ..textio import format_tableau, space_separated
-from . import _tableau_payload
 
 
 def run(w):
     p, q = rsk(w)
     shape = p.shape()
-    result = {"P": _tableau_payload(p), "Q": _tableau_payload(q), "shape": list(shape.parts)}
+    result = {"P": p.rows, "Q": q.rows, "shape": shape.parts}
     lines = [
         "P:",
         format_tableau(p),

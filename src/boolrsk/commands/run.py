@@ -12,7 +12,7 @@ def run(w):
         "n": w.n,
         "lis": lis,
         "run": statistic,
-        "optimal_run_word": [list(run.letters) for run in runs],
+        "optimal_run_word": [run.letters for run in runs],
     }
     lines = [
         f"n = {w.n}",

@@ -11,9 +11,9 @@ def run(w):
     moves = ulam_sort(w)  # reads the run word just built
     states = list(accumulate(moves, apply_ulam_move, initial=w))[1:]
     result = {
-        "optimal_run_word": [list(run.letters) for run in runs],
+        "optimal_run_word": [run.letters for run in runs],
         "moves": [{"pos": m.from_position, "after": m.insert_after_value} for m in moves],
-        "states": [list(s.entries) for s in states],
+        "states": [s.entries for s in states],
     }
     lines = [
         f"optimal run word = {format_run_word(runs)}",

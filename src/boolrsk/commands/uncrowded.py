@@ -5,7 +5,7 @@ from ..textio import (
     format_int_set, format_run_word, format_tableau, parse_int_list, parse_tableau,
     space_separated)
 from ..uncrowded import crowding_witness, realize_leftmost_letters, tableau_crowding_witness
-from . import _canonical_payload, _checked_size, _tableau_payload, _verdict
+from . import _canonical_payload, _checked_size, _verdict
 
 
 def run(args):
@@ -16,13 +16,13 @@ def run(args):
         verdict, verdict_line = _verdict(crowding_witness(values))
         head = {"mode": "set", "input": space_separated(sorted(values))}
         lines = [f"set = {format_int_set(values)}", verdict_line]
-        return head, {"set": sorted(values), **verdict}, lines
+        return head, {"set": values, **verdict}, lines
     if args["what"] == "tableau":
         tableau = parse_tableau(args["value"])
         verdict, verdict_line = _verdict(tableau_crowding_witness(tableau))
         rows_text = " / ".join(space_separated(row) for row in tableau.rows)
         head = {"mode": "tableau", "input": rows_text}
-        result = {"rows": _tableau_payload(tableau), "row2": sorted(tableau.row2), **verdict}
+        result = {"rows": tableau.rows, "row2": tableau.row2, **verdict}
         lines = [
             "T:",
             format_tableau(tableau),
@@ -41,7 +41,7 @@ def run(args):
     canonical = realize_leftmost_letters(values, degree)
     w = evaluate(canonical.word)
     head = {"mode": "realize", "input": space_separated(sorted(values)), "degree": degree}
-    result = {**_canonical_payload(canonical), "permutation": list(w.entries)}
+    result = {**_canonical_payload(canonical), "permutation": w.entries}
     lines = [
         f"letters = {format_int_set(values)}",
         f"canonical word = {format_run_word(canonical.runs)}",

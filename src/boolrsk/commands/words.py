@@ -6,7 +6,7 @@ from ..words import all_reduced_words
 
 def run(w):
     words = all_reduced_words(w)
-    result = {"count": len(words), "words": [list(word.letters) for word in words]}
+    result = {"count": len(words), "words": [word.letters for word in words]}
     lines = [f"reduced words: {len(words)}"]
     lines += [format_flat_word(word.letters) for word in words]
     return result, lines

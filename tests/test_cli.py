@@ -83,6 +83,26 @@ class TestExitCodes:
         assert len(err) < 200
 
     @pytest.mark.parametrize("argv, message", [
+        (("count", "1..{}"), "range end <{} digits> exceeds 10000"),
+        (("count", "{}..1"), "bad range: '<{} digits>..1'"),
+        (("selftest", "{}"), "no criterion <{} digits>; choose from 1..9"),
+        (("rsk", "1,{}"), "value <{} digits> out of range 1..2 (at token 2)"),
+        (("uncrowded", "realize", "1", "--degree", "{}"), "degree <{} digits> exceeds 10000"),
+        (("canonical", "--from-word", "1", "--degree", "{}"), "degree <{} digits> exceeds 10000"),
+    ], ids=["range end", "range start", "selftest", "rsk value", "realize degree", "word degree"])
+    def test_an_integer_at_the_digit_limit_is_echoed_by_its_length(self, argv, message):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(*(a.format("7" * limit) for a in argv))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(limit)}\n"
+        assert len(err) < 200
+
+    def test_an_echoed_integer_of_at_most_30_digits_is_written_whole(self):
+        message = "error: value {} out of range 1..2 (at token 2)\n"
+        assert run_cli("rsk", "1," + "7" * 30)[2] == message.format("7" * 30)
+        assert run_cli("rsk", "1," + "7" * 31)[2] == message.format("<31 digits>")
+
+    @pytest.mark.parametrize("argv, message", [
         (("count", "1..x"), "not a range: '1..x'"),
         (("count", "5..3"), "bad range: '5..3'"),
         (("selftest", "x"), "criteria must be an integer, not 'x'; usage: boolrsk selftest [-h] [criteria ...]"),
@@ -278,16 +298,17 @@ def test_values_that_start_with_a_dash_are_values(form):
 def test_closed_output_pipe_ends_quietly_in_exit_three():
     # as `boolrsk count 1..3000 | head -1`: the reader leaves after one line
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    child = subprocess.Popen(
-        [sys.executable, "-m", "boolrsk.cli", "count", "1..3000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-    )
-    assert child.stdout.readline() == "n total two-row n-in-row2\n"
-    child.stdout.close()
-    err = child.stderr.read()
-    child.stderr.close()
-    assert child.wait(timeout=60) == 3
-    assert err == ""
+    for form, first_line in [((), "n total two-row n-in-row2\n"), (("--json",), "{\n")]:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "boolrsk.cli", "count", "1..3000", *form],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        assert child.stdout.readline() == first_line
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 3
+        assert err == ""
 
 
 def test_unexpected_exception_is_one_line_and_exit_three(monkeypatch):
@@ -587,6 +608,17 @@ class TestJsonEnvelopes:
         assert list(envelope.keys()) == keys
         assert envelope["command"] == argv[0]
         assert envelope["format"] == "json"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for argv, _ in KEY_ORDERS],
+        ids=[" ".join(a for a in argv[:2] if not a[0].isdigit()) for argv, _ in KEY_ORDERS],
+    )
+    def test_envelope_text_is_the_indented_dump_of_its_values(self, argv):
+        # the text is json's own indented form: no value reached the encoder as another kind
+        code, out, _ = run_cli(*argv, "--json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestSelftestCommand:

@@ -228,7 +228,7 @@ class TestUlamSort:
                 u = w
                 for move, state in zip(moves, result["states"]):
                     u = apply_ulam_move(u, move)
-                    assert state == list(u.entries)
+                    assert state == u.entries
 
 
 class TestBruteForceRun:
