@@ -7,7 +7,7 @@ from ..textio import format_flat_word, space_separated
 def run(w):
     lis = w.lex_least_lis()
     step = run_step(w)  # reuses the LIS just taken
-    length_before, length_after = w.length(), step.result.length()
+    length_after = (length_before := w.length()) - len(step.run)  # a step shortens by its run
     result = {
         "lis_values": lis.values,
         "lis_positions": lis.positions,

@@ -303,16 +303,11 @@ def boolean_permutations(n: int) -> Iterator[Permutation]:
     ``canonical._canonical_from_orientation``, built depth-first in lexicographic
     order of the orientations, each letter's read as absent < 0 < +1 < -1."""
     from .canonical import _canonical_from_orientation
-    from .words import evaluate
+    from .words import _walk, evaluate
 
     identity(n)  # rejects n as all_permutations(n) does
-    # the signs letter a+1 may take after letter a's, reversed as the stack pops them
-    after = {None: (-1, 1, 0, None), 0: (None,), 1: (-1, 1, 0), -1: (-1, 1, 0)}
-    orient, stack = [], [(0, None)]  # one path, and (letter, sign) pairs; there is no letter 0
-    while stack:
-        a, s = stack.pop()
-        orient[a:] = [s]
-        if a == n - 1:
-            yield evaluate(_canonical_from_orientation(orient, n).word)
-        else:  # letter n-1 takes no ±1, as there is no letter n
-            stack.extend((a + 1, t) for t in after[s] if not (t and a + 2 == n))
+    # the signs letter a+1 may take after letter a's, each sign its own label and state
+    signs = {None: (None, 0, 1, -1), 0: (None,), 1: (0, 1, -1), -1: (0, 1, -1)}
+    after = {s: tuple((t, t) for t in following) for s, following in signs.items()}
+    for orient in _walk(after, n - 1, {None, 0}):  # orient[0] is None; letter n-1 takes no ±1
+        yield evaluate(_canonical_from_orientation(orient, n).word)

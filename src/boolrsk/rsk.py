@@ -35,10 +35,6 @@ class Shape(Value):
         if self.parts and self.parts[-1] < 1:
             raise ValueError("parts must be positive")
 
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
 
 class StandardTableau(Value):
     """Rows of a standard-style tableau: distinct positive entries increasing
@@ -83,10 +79,6 @@ class StandardTableau(Value):
 
     def shape(self) -> Shape:
         return Shape(tuple(len(row) for row in self.rows))
-
-    @property
-    def row1(self) -> tuple[int, ...]:
-        return self.rows[0]
 
     @property
     def row2(self) -> tuple[int, ...]:

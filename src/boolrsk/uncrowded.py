@@ -190,34 +190,17 @@ def binary_word_from_tableau(tableau: StandardTableau) -> BinaryWord:
 
 def odd_run_words(n: int) -> Iterator[BinaryWord]:
     """All binary words of length n-1 whose blocks of 1s have odd length, in
-    lexicographic order."""
-    from .words import BinaryWord
+    lexicographic order: the walks through the states "out" of a block of 1s,
+    or in an "odd" or "even" one by the length so far."""
+    from .words import BinaryWord, _walk
 
     _integer(n, "degree")
     if n < 1:
         raise ValueError("degree must be at least 1")
-    bits = [0] * (n - 1)
-    while True:
-        # bits of 0 and 1 only
-        yield BinaryWord._trusted(tuple(bits))
-        # The next word keeps the longest prefix that can take a 1 where the
-        # current word has a 0, then completes it as small as possible: with
-        # zeros if the block of 1s so made is odd, else with one more 1 first.
-        p = len(bits) - 1
-        while p >= 0:
-            if bits[p] == 0:
-                block = 1
-                while p - block >= 0 and bits[p - block] == 1:
-                    block += 1
-                if block % 2 == 1 or p + 1 < len(bits):
-                    break
-                p -= block
-            else:
-                p -= 1
-        if p < 0:
-            return
-        head = [1, 1] if block % 2 == 0 else [1]
-        bits[p:] = head + [0] * (len(bits) - p - len(head))
+    after = {"out": ((0, "out"), (1, "odd")), "odd": ((0, "out"), (1, "even")), "even": ((1, "odd"),)}
+    for bits in _walk({None: after["out"], **after}, n - 1, {None, "out", "odd"}):
+        # bits of 0 and 1 only, after the path's leading None
+        yield BinaryWord._trusted(tuple(bits[1:]))
 
 
 UncrowdedCounts = namedtuple("UncrowdedCounts", ["total", "two_row", "max_in_row2"])

@@ -246,3 +246,20 @@ def all_reduced_words(w: Permutation) -> list[Word]:
             f"more than {ENUMERATION_WORD_LIMIT} reduced words, past the enumeration limit"
         )
     return words
+
+
+def _walk(after: dict, length: int, ends: set) -> Iterator[list]:
+    """Each path of ``length`` steps from state None, the empty path's, that ends in a state
+    of ``ends``, in the order ``after[state]`` lists the (label, next state) steps out of a
+    state; yielded as its labels after a leading None, in one list the next path overwrites."""
+    labels, frames = [None] * (length + 1), [iter(((None, None),))]  # the empty path's step
+    while frames:  # one iterator over the steps left at each depth of the path
+        depth = len(frames) - 1
+        for labels[depth], state in frames[-1]:
+            if depth < length:
+                frames.append(iter(after[state]))
+                break
+            if state in ends:
+                yield labels
+        else:  # every step out of the state above is taken
+            frames.pop()

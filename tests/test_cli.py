@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boolrsk import boolean_permutations, cli
+from boolrsk import all_permutations, boolean_permutations, cli
+from oracles import length_pairwise
 
 MAX = cli.MAX_SIZE
 
@@ -448,6 +449,19 @@ class TestPlainOutput:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.RHO_8000_DIGESTS[form]
         assert elapsed < 0.5
+
+
+def test_rho_lengths_are_the_inversion_counts_on_s2_to_s6():
+    # a step shortens by the length of its run, and the result's length is counted afresh
+    for n in range(2, 7):
+        for w in all_permutations(n):
+            if w.is_identity():
+                continue
+            code, out, err = run_cli("rho", "--json", " ".join(map(str, w.entries)))
+            assert (code, err) == (0, ""), w
+            step = json.loads(out)["result"]
+            assert step["length_after"] == length_pairwise(step["result"]), w
+            assert step["length_before"] - step["length_after"] == len(step["run"]), w
 
 
 def test_every_heap_report_up_to_degree_7():

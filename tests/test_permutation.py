@@ -170,6 +170,17 @@ class TestBooleanPermutations:
             assert len(set(built)) == len(built)
             assert set(built) == set(boolean_permutations_by_filter(n)), n
 
+    def test_lists_the_orientations_in_lexicographic_order_on_s1_to_s9(self):
+        # letter a read as absent < 0 (a+1 absent) < +1 (a before a+1) < -1 (a after a+1)
+        def orientation(w):
+            support = w.support()
+            return tuple(0 if a not in support else 1 if a + 1 not in support
+                         else 2 if w(a + 1) > a + 1 else 3 for a in range(1, w.n))
+
+        for n in range(1, 10):
+            expected = sorted(boolean_permutations_by_filter(n), key=orientation)
+            assert list(boolean_permutations(n)) == expected, n
+
     def test_counts_are_odd_fibonacci_numbers_up_to_degree_14(self):
         # S_n has F(2n-1) boolean elements (Tenner 2007)
         fibonacci = [0, 1]
