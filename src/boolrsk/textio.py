@@ -3,7 +3,9 @@
 Display mirrors the conventions used throughout the literature: one-line
 notation concatenated with multi-digit values parenthesized (314627(10)589),
 words in brackets with runs separated by a middle dot ([21·98·567·34]).
-Parsers accept plain comma- or space-separated integers.
+A heap is shown by ``heap_report``, whose one walk over the sorted elements
+gives both the cover lines and the ASCII fence.  Parsers accept plain comma-
+or space-separated integers.
 """
 
 from __future__ import annotations
@@ -100,42 +102,29 @@ def space_separated(values: Iterable[int]) -> str:
     return " ".join(str(v) for v in values)
 
 
-def heap_cover_lines(heap: Heap) -> list[str]:
-    """One line per adjacent pair in the heap: 'i < i+1' when i comes first."""
-    lines = []
-    for i in sorted(heap.elements):
-        if i + 1 in heap.elements:
-            lines.append(f"{i} < {i + 1}" if (i, i + 1) in heap.covers else f"{i} > {i + 1}")
-    return lines
-
-
-def heap_sketch(heap: Heap) -> str:
-    """A small ASCII fence: elements placed left to right, raised or lowered
-    according to the cover orientations, slashes between neighbours."""
+def heap_report(heap: Heap) -> list[str]:
+    """The heap's elements, one line per adjacent pair ('i < i+1' when i comes
+    first), a blank line and an ASCII fence, all from one walk: each block of
+    consecutive elements starts at level 0, each later element sits one level
+    above or below its left neighbour, and a slash joins the two."""
     elements = sorted(heap.elements)
+    lines = [f"elements: {space_separated(elements)}"]
     if not elements:
-        return "(empty heap)"
-    height: dict[int, int] = {}
+        return [*lines, "", "(empty heap)"]
+    step = len(str(elements[-1])) + 2
+    marks = []  # (row key, column, text): level L has key 2L, a slash below it 2L - 1
     for idx, e in enumerate(elements):
-        if idx == 0 or elements[idx - 1] != e - 1:
-            height[e] = 0
-        elif (e - 1, e) in heap.covers:
-            height[e] = height[e - 1] + 1
+        if idx and elements[idx - 1] == e - 1:
+            up = (e - 1, e) in heap.covers
+            lines.append(f"{e - 1} {'<' if up else '>'} {e}")
+            marks.append((2 * level + 1 if up else 2 * level - 1, idx * step - 2, "/" if up else "\\"))
+            level += 1 if up else -1
         else:
-            height[e] = height[e - 1] - 1
-    width = max(len(str(e)) for e in elements)
-    step = width + 2
-    column = {e: i * step for i, e in enumerate(elements)}
-    top = max(height.values())
-    bottom = min(height.values())
-    grid = [[" "] * (column[elements[-1]] + width) for _ in range(2 * (top - bottom) + 1)]
-    for e in elements:
-        row = 2 * (top - height[e])
-        for k, ch in enumerate(str(e)):
-            grid[row][column[e] + k] = ch
-    for e in elements:
-        if e + 1 in height and abs(height[e + 1] - height[e]) == 1:
-            row = 2 * (top - max(height[e], height[e + 1])) + 1
-            col = column[e] + width
-            grid[row][col] = "/" if height[e + 1] > height[e] else "\\"
-    return "\n".join("".join(line).rstrip() for line in grid)
+            level = 0
+        marks.append((2 * level, idx * step, str(e)))
+    keys = [key for key, _, _ in marks]
+    top = max(keys)
+    grid = [[" "] * (len(elements) * step) for _ in range(top - min(keys) + 1)]
+    for key, col, text in marks:
+        grid[top - key][col:col + len(text)] = text
+    return [*lines, "", *("".join(row).rstrip() for row in grid)]

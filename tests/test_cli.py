@@ -426,6 +426,20 @@ class TestPlainOutput:
             2, "", f"error: file {str(path)!r} is not UTF-8 text (byte 0)\n"
         )
 
+    def test_bij_file_that_cannot_be_opened_is_read_as_rows(self, tmp_path, monkeypatch):
+        def refused(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        bij = importlib.import_module("boolrsk.commands.bij")
+        monkeypatch.setattr(bij, "open", refused, raising=False)
+        path = tmp_path / "tableau.txt"
+        path.write_text("1 2\n3 4\n")
+        # the path's '/' separates rows, so its first token is its first component
+        first = str(path).strip("/").split("/")[0]
+        assert run_cli("bij", "g", str(path)) == (
+            2, "", f"error: not an integer: {first!r} (at token 1)\n"
+        )
+
     def test_words_listing(self):
         _, out, _ = run_cli("words", "3 1 4 5 6 9 2 7 8")
         assert "reduced words: 99" in out
