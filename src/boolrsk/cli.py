@@ -3,7 +3,7 @@
 Every subcommand prints a human-readable report by default and a JSON
 envelope with ``--json``: its name as ``command``, the keys that echo the
 input, ``format`` and ``result``, in that order.  Exit codes: 0 success, 1 domain error (not
-boolean, crowded, degree guard), 2 parse or usage error or a size past MAX_SIZE, 3 an
+boolean, crowded, degree guard), 2 parse or usage error or a size past ``commands.MAX_SIZE``, 3 an
 internal error or a closed output pipe.  Every failure is one ``error:`` line on stderr.
 """
 
@@ -14,7 +14,6 @@ import os
 import sys
 from itertools import chain, islice
 
-from .commands import MAX_SIZE  # noqa: F401  (re-exported: the size guard of the handlers)
 from .errors import DomainError, ParseError, _parse_int
 
 JSON = ("--json", {"help": "emit a JSON envelope"})

@@ -18,8 +18,6 @@ from ._value import Value
 from .errors import _in_range, _integer
 from .textio import format_letters
 
-_PATTERN_3412 = (3, 4, 1, 2)
-
 
 class Subsequence(Value):
     """Strictly increasing 1-based positions together with the values they carry."""
@@ -133,19 +131,16 @@ class Permutation(Value):
                 out.append(i)
         return frozenset(out)
 
-    def _pattern_witness(self, pattern: tuple[int, ...]) -> tuple[int, ...] | None:
-        """Lexicographically least positions forming the pattern, or None.
+    def _least_3412(self) -> tuple[int, ...] | None:
+        """Lexicographically least positions of a 3412 in w, or None.
 
         A backtracking search on an explicit stack: ``chosen`` holds the
-        positions matched to the first entries of the pattern, and the last
-        iterator in ``candidates`` the positions still to try for the next one.
+        positions matched to the first entries of 3412, and the last iterator
+        in ``candidates`` the positions still to try for the next one.
         """
-        w = self.entries
-        n, k = self.n, len(pattern)
-        if k == 0:
-            return ()
+        w, n, pattern = self.entries, self.n, (3, 4, 1, 2)
         chosen: list[int] = []
-        candidates = [iter(range(n - k + 1))]
+        candidates = [iter(range(n - 3))]
         while candidates:
             d = len(chosen)
             for p in candidates[-1]:
@@ -158,9 +153,9 @@ class Permutation(Value):
                     chosen.pop()
                 continue
             chosen.append(p)
-            if d + 1 == k:
+            if d == 3:
                 return tuple(q + 1 for q in chosen)
-            candidates.append(iter(range(p + 1, n - k + d + 2)))
+            candidates.append(iter(range(p + 1, n + d - 2)))
         return None
 
     def depth(self) -> int:
@@ -212,13 +207,13 @@ class Permutation(Value):
         contains 321, and of 3412 otherwise.  The 321 test comes first, so it
         runs once; a 321-avoider is then boolean exactly when its depth is
         |supp(w)|.  The least 321 is found in O(n) by ``_least_321``; only a
-        321-avoiding rejection pays for the backtracking 3412 search.
+        321-avoiding rejection pays for ``_least_3412``, a backtracking search.
         """
         if not self.is_fully_commutative():
             return ("321", self._least_321())
         if self.depth() == len(self.support()):
             return None
-        return ("3412", self._pattern_witness(_PATTERN_3412))
+        return ("3412", self._least_3412())
 
     def _least_321(self) -> tuple[int, int, int]:
         """The lexicographically least positions (i, j, k) of a 321 in w, which

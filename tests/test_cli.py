@@ -5,6 +5,9 @@ import importlib
 import io
 import json
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -15,9 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolrsk import all_permutations, boolean_permutations, cli
+from boolrsk.commands import MAX_SIZE as MAX
 from oracles import length_pairwise
-
-MAX = cli.MAX_SIZE
 
 
 def run_python_fresh(*args):
@@ -671,15 +673,32 @@ USAGE_LINES = {
 }
 
 
-@pytest.mark.parametrize("command", USAGE_LINES)
+TOP_USAGE = "usage: boolrsk [-h] {rsk,canonical,run,rho,ulam,heap,words,uncrowded,count,bij,selftest} ..."
+
+
+@pytest.mark.parametrize("command", [*USAGE_LINES, "--help", "-h"])
 def test_usage_line_of_every_subcommand(command):
+    top = command.startswith("-")  # the top-level help, which lists the subcommands
     out = io.StringIO()
     with redirect_stdout(out), pytest.raises(SystemExit) as done:
-        cli.main([command, "--help"])
+        cli.main([command] if top else [command, "--help"])
     assert done.value.code == 0
-    # argparse wraps the usage to the terminal width; compare it unwrapped
-    usage = out.getvalue().split("\n\n")[0]
-    assert " ".join(usage.split()) == USAGE_LINES[command]
+    usage, *_, listing = out.getvalue().split("\n\n")
+    assert usage == (TOP_USAGE if top else USAGE_LINES[command])
+    if top:
+        names = [line.split()[0] for line in listing.splitlines()]
+        assert names == [*cli.NAMES, "-h,"]
+
+
+def test_every_readme_cli_example_succeeds():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S) for line in block.splitlines()]
+    calls = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("boolrsk ")]
+    calls = [argv for argv in calls if argv[0] != "selftest"]  # test_acceptance.py runs those
+    assert calls
+    for argv in calls:
+        code, _, err = run_cli(*argv)
+        assert (code, err) == (0, ""), argv
 
 
 # Argument lists for every subcommand: permutations, integer lists with

@@ -1,7 +1,7 @@
 """The fast boolean test, 321 scan, depth, inversion count, reduced word,
 heap, crowding check, realization, word enumeration, canonical word,
 binary-word decoding, least longest increasing subsequence, row insertion,
-linear extensions, pattern search, step map, optimal run word and Ulam moves
+linear extensions, 3412 search, step map, optimal run word and Ulam moves
 against the slow paths they replaced, plus guards against a return to a cubic,
 quadratic or span-bound cost and to recursion that grows with the input."""
 
@@ -575,19 +575,11 @@ class TestLinearExtensions:
         assert time.perf_counter() - start < 1.0
 
 
-class TestPatternWitness:
-    PATTERNS = [p.entries for k in range(1, 5) for p in all_permutations(k)]
-
+class TestLeast3412:
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_matches_backtracking_for_patterns_up_to_length_4(self, n):
+    def test_matches_backtracking(self, n):
         for w in all_permutations(n):
-            for pattern in self.PATTERNS:
-                expected = pattern_witness_backtracking(w.entries, pattern)
-                assert w._pattern_witness(pattern) == expected, (w, pattern)
-
-    def test_pattern_of_length_1500_in_identity_of_degree_3000(self):
-        # one stack entry per matched position, past the recursion limit
-        assert identity(3000)._pattern_witness(identity(1500).entries) == tuple(range(1, 1501))
+            assert w._least_3412() == pattern_witness_backtracking(w.entries, (3, 4, 1, 2)), w
 
 
 def blocks_then_321(m):

@@ -177,7 +177,7 @@ def imported_modules(path):
 def test_no_module_imports_argparse_and_no_handler_imports_cli():
     package = pathlib.Path(boolrsk.__file__).parent
     # relative imports resolve, from the package and from the handler package
-    assert {"boolrsk.commands", "boolrsk.errors"} <= imported_modules(package / "cli.py")
+    assert "boolrsk.errors" in imported_modules(package / "cli.py")
     assert {"boolrsk.commands", "boolrsk.rsk"} <= imported_modules(
         package / "commands" / "canonical.py"
     )

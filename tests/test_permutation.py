@@ -84,48 +84,6 @@ class TestInverse:
             assert w.inverse().inverse() == w
 
 
-def contains(w, sigma):
-    """Pattern containment by the search that ``boolean_witness`` runs for 3412."""
-    return w._pattern_witness(sigma.entries) is not None
-
-
-class TestPatterns:
-    def test_contains_1423(self):
-        assert contains(P(3, 1, 4, 5, 9, 2, 6, 8, 7), P(1, 4, 2, 3))
-
-    def test_avoids_3241(self):
-        assert not contains(P(3, 1, 4, 5, 9, 2, 6, 8, 7), P(3, 2, 4, 1))
-
-    def test_identity_avoids_21(self):
-        assert not contains(identity(6), P(2, 1))
-
-    def test_contains_itself(self):
-        for w in all_permutations(4):
-            assert contains(w, w)
-
-    def test_against_naive_oracle(self):
-        patterns = [p for k in (2, 3, 4) for p in all_permutations(k)]
-        for w in all_permutations(5):
-            for sigma in patterns:
-                assert contains(w, sigma) == contains_pattern_naive(
-                    w.entries, sigma.entries
-                )
-
-    def test_monotone_under_pattern_containment(self):
-        small = list(all_permutations(3))
-        large = list(all_permutations(4))
-        related = [
-            (sigma, tau)
-            for sigma in small
-            for tau in large
-            if contains(tau, sigma)
-        ]
-        for w in all_permutations(6):
-            for sigma, tau in related:
-                if contains(w, tau):
-                    assert contains(w, sigma)
-
-
 class TestBooleanPredicates:
     def test_3412_fully_commutative_not_boolean(self):
         w = P(3, 4, 1, 2)
